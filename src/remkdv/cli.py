@@ -57,9 +57,8 @@ DEFAULTS: dict[str, dict] = {
     },
     "smoothing": {
         "seed": 0,
-        "model": {"max_mode": 256, "dt": 1e-4, "t_final": 0.25, "sign": 1,
-                  "renormalized": True, "dealias": True, "integrator": "ifrk4"},
-        "profile": {"type": "decaying", "sigma": 2.0},
+        "model": {"max_mode": 256, "dt": 1e-4, "t_final": 0.25, "sign": 1},
+        "profile": {"sigma": 2.0},
         "eps_list": [0.05, 0.1],
         "watch_modes": [32, 64, 128],
         "scaling_band": None,  # e.g. [8.0, 32.0] to enforce the quartic ratio
@@ -67,8 +66,8 @@ DEFAULTS: dict[str, dict] = {
     "energy-drift": {
         "seed": 0,
         "model": {"max_mode": 2048, "dt": 2e-4, "t_final": 0.1, "sign": 1,
-                  "renormalized": True, "dealias": True, "integrator": "ifrk4"},
-        "profile": {"type": "decaying", "eps": 0.05, "sigma": 1.0},
+                  "integrator": "ifrk4"},
+        "profile": {"eps": 0.05, "sigma": 1.0},
         "k_watch": 1024,
         "sample_every": 25,
         "energy": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0},
@@ -134,6 +133,13 @@ def _model_config(section: dict) -> ModelConfig:
         raise ConfigError(f"bad model config: {exc}") from exc
 
 
+def _sample_every(cfg: dict) -> int:
+    n = int(cfg["sample_every"])
+    if n < 1:
+        raise ConfigError(f"sample_every must be at least 1, got {n}")
+    return n
+
+
 def _energy_config(section: dict) -> EnergyConfig:
     try:
         return EnergyConfig(**section)
@@ -182,7 +188,7 @@ def _fmt(x: float) -> str:
 def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
     model = _model_config(cfg["model"])
     u0 = _build_profile(cfg["profile"], model.max_mode, cfg["seed"])
-    res = simulate(u0, model, sample_every=int(cfg["sample_every"]))
+    res = simulate(u0, model, sample_every=_sample_every(cfg))
     states = res.snapshots
     if cfg["gauge"] == "forward":
         states = [gauge_forward(s, model) for s in states]
@@ -238,13 +244,13 @@ def _smoothing_rows(rep: SmoothingReport):
 
 
 def _cmd_smoothing(cfg: dict, out_dir: Path) -> int:
-    model = cfg["model"]
+    model = _model_config(cfg["model"])
     rep = smoothing_scan(
-        max_mode=int(model["max_mode"]), t_final=float(model["t_final"]),
-        dt=float(model["dt"]), sigma=float(cfg["profile"]["sigma"]),
+        max_mode=int(model.max_mode), t_final=float(model.t_final),
+        dt=float(model.dt), sigma=float(cfg["profile"]["sigma"]),
         eps_list=[float(e) for e in cfg["eps_list"]],
         watch_modes=[int(k) for k in cfg["watch_modes"]],
-        seed=int(cfg["seed"]), sign=int(model["sign"]))
+        seed=int(cfg["seed"]), sign=int(model.sign))
     with open(out_dir / "smoothing.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["eps", "k", "sup_deviation"])
@@ -275,7 +281,7 @@ def _cmd_energy_drift(cfg: dict, out_dir: Path) -> int:
         max_mode=int(model.max_mode), k_watch=int(cfg["k_watch"]),
         t_final=float(model.t_final), dt=float(model.dt),
         sigma=float(cfg["profile"]["sigma"]), eps=float(cfg["profile"]["eps"]),
-        seed=int(cfg["seed"]), sample_every=int(cfg["sample_every"]),
+        seed=int(cfg["seed"]), sample_every=_sample_every(cfg),
         sign=int(model.sign), energy_config=_energy_config(cfg["energy"]),
         integrator=model.integrator)
     with open(out_dir / "energy_drift.csv", "w", newline="") as fh:
@@ -300,7 +306,7 @@ def _cmd_energy_drift(cfg: dict, out_dir: Path) -> int:
 def _cmd_norms(cfg: dict, out_dir: Path) -> int:
     model = _model_config(cfg["model"])
     u0 = _build_profile(cfg["profile"], model.max_mode, cfg["seed"])
-    res = simulate(u0, model, sample_every=int(cfg["sample_every"]))
+    res = simulate(u0, model, sample_every=_sample_every(cfg))
     rep = norms_report(res.snapshots, res.times, s=float(cfg["s"]))
     with open(out_dir / "norms.csv", "w", newline="") as fh:
         w = csv.writer(fh)

@@ -149,13 +149,12 @@ def quartic_skew_sum(u: FourierField, cutoff: int) -> tuple[complex, float]:
     """
     c = int(cutoff)
     ks = np.arange(-c, c + 1)
+    uk = u.gather(ks)
     pair = {}
     for s in range(-2 * c, 2 * c + 1):
         b = s - ks
-        ok = np.abs(b) <= c
-        vals = np.where(ok, _gather1(u, np.clip(b, -c, c)), 0)
-        pair[s] = (np.sum(_gather1(u, ks) * vals),
-                   np.sum(np.abs(_gather1(u, ks) * vals)))
+        prod = uk * np.where(np.abs(b) <= c, u.gather(b), 0)
+        pair[s] = (np.sum(prod), np.sum(np.abs(prod)))
     total = 0.0 + 0.0j
     scale = 0.0
     for s in range(-2 * c, 2 * c + 1):
@@ -164,12 +163,6 @@ def quartic_skew_sum(u: FourierField, cutoff: int) -> tuple[complex, float]:
         total += pair[-s][0] * pair[s][0] / s
         scale += pair[-s][1] * pair[s][1] / abs(s)
     return complex(total), float(scale)
-
-
-def _gather1(u: FourierField, ks: np.ndarray) -> np.ndarray:
-    K = u.max_mode
-    ok = np.abs(ks) <= K
-    return np.where(ok, u.coeffs[np.clip(ks, -K, K) + K], 0)
 
 
 def sextic_skew_sum(u: FourierField, k: int, cutoff: int) -> tuple[float, float]:
@@ -191,8 +184,8 @@ def sextic_skew_sum(u: FourierField, k: int, cutoff: int) -> tuple[float, float]
     terms = np.where(
         ok,
         (k / np.where(sig == 0, 1, sig))
-        * _gather1(u, k1) * _gather1(u, k2) * _gather1(u, k3)
-        * _gather1(u, -k1) * _gather1(u, k42) * _gather1(u, k43),
+        * u.gather(k1) * u.gather(k2) * u.gather(k3)
+        * u.gather(-k1) * u.gather(k42) * u.gather(k43),
         0,
     )
     return float(np.imag(np.sum(terms))), float(np.sum(np.abs(terms)))

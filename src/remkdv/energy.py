@@ -15,12 +15,12 @@ polarization and is summed over dyadic blocks with an N^{2s'} ladder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .fields import FourierField, phi_dyadic, sobolev_norm
-from .resonance import MED_RATIO, d1_triples, d2_triples_medcut
+from .resonance import (d1_cells, d1_small_sums, d1_table, d2_table, omega3_factored,
+                        pair_sums)
 
 __all__ = [
     "EnergyConfig",
@@ -63,65 +63,41 @@ class EnergyReport:
     total: float
 
 
-def _omega3_np(tri: np.ndarray) -> np.ndarray:
-    """Factored resonance function on an (n, 3) int64 array. Safe for the
-    mode ranges reached here (pair sums stay far below the int64 cube root)."""
-    k1, k2, k3 = tri[:, 0], tri[:, 1], tri[:, 2]
-    return -3 * (k1 + k2) * (k1 + k3) * (k2 + k3)
-
-
-def _gather(u: FourierField, ks: np.ndarray) -> np.ndarray:
-    K = u.max_mode
-    ok = np.abs(ks) <= K
-    return np.where(ok, u.coeffs[np.clip(ks, -K, K) + K], 0)
-
-
-def _quartic_sum(u: FourierField, k: int, tri: np.ndarray) -> float:
+def _quartic_sum(u: FourierField, k: int, tri: np.ndarray, om: np.ndarray) -> float:
     """Re sum 1/((2pi)^2 Omega3) u^(k1) u^(k2) u^(k3) u^(-k) over the rows."""
     if tri.shape[0] == 0:
         return 0.0
-    om = _omega3_np(tri)
-    prod = _gather(u, tri[:, 0]) * _gather(u, tri[:, 1]) * _gather(u, tri[:, 2])
+    prod = u.gather(tri[:, 0]) * u.gather(tri[:, 1]) * u.gather(tri[:, 2])
     return float(np.real(np.sum(prod / (FOUR_PI_SQ * om)) * u.mode(-k)))
 
 
-@lru_cache(maxsize=512)
-def _d1_cache(k: int, bound: int):
-    tri = d1_triples(k, bound)
-    return tri, _omega3_np(tri) if tri.shape[0] else np.zeros(0, dtype=np.int64)
-
-
 def _e31(u: FourierField, k: int, cfg: EnergyConfig) -> float:
-    tri = d1_triples(k, u.max_mode)
+    tri, om = d1_table(k, u.max_mode)
     if tri.shape[0] == 0:
         return 0.0
-    m = np.sort(np.abs(np.stack([tri[:, 1] + tri[:, 2],
-                                 tri[:, 0] + tri[:, 2],
-                                 tri[:, 0] + tri[:, 1]], axis=1)), axis=1)
-    shadow = 2 ** np.floor(np.log2(m[:, 0]))
-    tri = tri[shadow < abs(k) ** cfg.theta1]
+    m_min = np.min(pair_sums(*tri.T), axis=0)
+    keep = 2 ** np.floor(np.log2(m_min)) < abs(k) ** cfg.theta1
     # |k| k, not k^2: the cell sum is odd under k -> -k while the quadratic
     # drift it cancels is even, so the prefactor must carry sign(k)
-    return abs(k) * k * _quartic_sum(u, k, tri)
+    return abs(k) * k * _quartic_sum(u, k, tri[keep], om[keep])
 
 
 def _e32(u: FourierField, k: int, cfg: EnergyConfig) -> float:
-    tri = d2_triples_medcut(k, u.max_mode, abs(k) ** cfg.theta2)
-    return abs(k) * k * _quartic_sum(u, k, tri)
+    tri, om = d2_table(k, u.max_mode, abs(k) ** cfg.theta2)
+    return abs(k) * k * _quartic_sum(u, k, tri, om)
 
 
 def _e5(u: FourierField, k: int, cfg: EnergyConfig) -> float:
-    outer = d1_triples(k, u.max_mode)
+    outer, om_out = d1_table(k, u.max_mode)
     if outer.shape[0] == 0:
         return 0.0
-    om_out = _omega3_np(outer)
     quad = np.column_stack([outer, np.full(outer.shape[0], -k, dtype=np.int64)])
-    coeffs = np.stack([_gather(u, quad[:, i]) for i in range(4)], axis=1)
+    coeffs = u.gather(quad)
     total = 0.0
     for r in range(outer.shape[0]):
         for i in range(4):
             ki = int(quad[r, i])
-            inner, om_in = _d1_cache(ki, u.max_mode)
+            inner, om_in = d1_table(ki, u.max_mode)
             if inner.shape[0] == 0:
                 continue
             # drop pairs whose combined resonance vanishes exactly: those are
@@ -132,8 +108,8 @@ def _e5(u: FourierField, k: int, cfg: EnergyConfig) -> float:
             if not np.any(keep):
                 continue
             om5 = om_out[r] + om_in[keep]
-            prod_in = (_gather(u, inner[keep, 0]) * _gather(u, inner[keep, 1])
-                       * _gather(u, inner[keep, 2]))
+            prod_in = (u.gather(inner[keep, 0]) * u.gather(inner[keep, 1])
+                       * u.gather(inner[keep, 2]))
             others = np.prod(np.delete(coeffs[r], i))
             total += ki * np.real(others * np.sum(prod_in / (om_out[r].astype(np.float64)
                                                              * om5)))
@@ -162,42 +138,36 @@ def energy_mode(u: FourierField, k: int, config: EnergyConfig | None = None) -> 
     return EnergyReport(k, quad, e31, e32, e5, total)
 
 
-def _correction_cubic(u: FourierField, v: FourierField, w: FourierField,
-                      k: int) -> float:
-    """Re sum_{D^1(k)} k/((2pi)^2 Omega3) (u1 u2 + u1 v2 + v1 v2) w^(k3) w^(-k)."""
-    tri, om = _d1_cache(k, u.max_mode)
-    if tri.shape[0] == 0:
-        return 0.0
-    u1, u2 = _gather(u, tri[:, 0]), _gather(u, tri[:, 1])
-    v1, v2 = _gather(v, tri[:, 0]), _gather(v, tri[:, 1])
-    w3 = _gather(w, tri[:, 2])
-    pair = u1 * u2 + u1 * v2 + v1 * v2
-    s = np.sum(pair * w3 / om) * w.mode(-k)
-    return float(np.real(k * s / FOUR_PI_SQ))
-
-
 def diff_energy_dyadic(u: FourierField, v: FourierField, N: int, n0: int) -> float:
     """Block energy of the difference w = u - v: (1/2)||P_N w||^2, corrected
-    for N > n0 by the polarized cubic term over D^1 triples feeding each
-    phi_N-active mode."""
+    for N > n0 by the polarized cubic term
+
+      Re sum_k phi_N(k)^2 k/(2pi)^2 w^(-k) sum_{D^1(k)} (u1 u2 + u1 v2 + v1 v2) w^(k3) / Omega3
+
+    over the phi_N-active modes k. The cells are walked one pair of small
+    pair sums (a, b) at a time, for all output modes at once (d1_cells)."""
     if u.max_mode != v.max_mode:
         raise ValueError("fields must share max_mode")
     if N < 1 or (N & (N - 1)):
         raise ValueError("N must be a dyadic block >= 1")
     w = u - v
     ks = w.modes
-    base = 0.5 * float(np.sum(phi_dyadic(N, ks) ** 2 * np.abs(w.coeffs) ** 2))
+    ph2 = phi_dyadic(N, ks) ** 2
+    base = 0.5 * float(np.sum(ph2 * np.abs(w.coeffs) ** 2))
     if N <= n0:
         return base
-    corr = 0.0
     K = u.max_mode
-    k_lo = max(N // 2 + 1, int(1.0 / MED_RATIO))
-    for a in range(k_lo, min(2 * N - 1, K) + 1):
-        for k in (a, -a):
-            ph = phi_dyadic(N, k)
-            if ph == 0.0:
-                continue
-            corr += ph * ph * _correction_cubic(u, v, w, k)
+    k = ks[ph2 != 0.0]
+    weight = ph2[k + K] * k * w.gather(-k) / FOUR_PI_SQ
+    vals = d1_small_sums(K)
+    corr = 0.0
+    for a in vals:
+        for b in vals:
+            tri, ok = d1_cells(k, a, b, K)
+            k1, k2, k3 = tri[ok].T
+            u1, u2, v1, v2 = u.gather(k1), u.gather(k2), v.gather(k1), v.gather(k2)
+            terms = np.broadcast_to(weight, ok.shape)[ok] * (u1 * u2 + u1 * v2 + v1 * v2)
+            corr += float(np.real(np.sum(terms * w.gather(k3) / omega3_factored(k1, k2, k3))))
     return base + corr
 
 

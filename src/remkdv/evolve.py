@@ -393,6 +393,8 @@ def simulate(u0: FourierField, config: ModelConfig,
     u0.require_real()
     if u0.max_mode != config.max_mode:
         raise ValueError("initial data max_mode differs from config")
+    if sample_every is not None and sample_every < 1:
+        raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     state = SimulationState(0.0, u0.copy())
     n = _n_steps(config)
     snaps = [SimulationState(state.t, state.field.copy(), state.alpha_accum)]

@@ -93,6 +93,13 @@ class FourierField:
             return 0.0 + 0.0j
         return complex(self.coeffs[k + self.max_mode])
 
+    def gather(self, ks) -> np.ndarray:
+        """Coefficients at an integer array of modes, any shape; modes beyond
+        the truncation are zero."""
+        ks = np.asarray(ks)
+        K = self.max_mode
+        return np.where(np.abs(ks) <= K, self.coeffs[np.clip(ks, -K, K) + K], 0)
+
     def hermitian_defect(self) -> float:
         """max_k |u_hat(-k) - conj(u_hat(k))|; zero exactly for real fields."""
         return float(np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs))))

@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .fields import (FourierField, deriv_multiplier, phi_dyadic, project_dyadic)
+from .resonance import pair_sums
 
 __all__ = [
     "SymbolFn",
@@ -82,10 +83,7 @@ def _triple_sum(weight_fn, f: FourierField, g: FourierField, h: FourierField,
     out = np.zeros(2 * K_out + 1, dtype=np.complex128)
     for k in range(-K_out, K_out + 1):
         K3 = k - K1 - K2
-        valid = np.abs(K3) <= K
-        K3c = np.clip(K3, -K, K)
-        w = weight_fn(K1, K2, K3) * valid
-        out[k + K_out] = np.sum(w * FG * h.coeffs[K3c + K])
+        out[k + K_out] = np.sum(weight_fn(K1, K2, K3) * FG * h.gather(K3))
     return FourierField(out, copy=False)
 
 
@@ -105,10 +103,7 @@ def pseudoproduct_restricted(eta: SymbolFn, j: int, M: int,
     _check_shared_mode(f, g, h)
 
     def weight(k1, k2, k3):
-        m1 = np.abs(k2 + k3)
-        m2 = np.abs(k1 + k3)
-        m3 = np.abs(k1 + k2)
-        mask = _a_masks(m1, m2, m3)[j - 1]
+        mask = _a_masks(*pair_sums(k1, k2, k3))[j - 1]
         s = (k2 + k3, k1 + k3, k1 + k2)[j - 1]
         return eta.eval(k1, k2, k3) * mask * phi_dyadic(M, s)
 
@@ -142,29 +137,19 @@ def paired_quadrilinear(eta: SymbolFn, j: int, M: int,
     for s in _support_sums(int(M)):
         s = int(s)
         w_s = float(phi_dyadic(M, s))
-        # coefficient of the slot paired with the inner frequency: mode s - ki
-        pair_k = s - ks
-        pair_ok = np.abs(pair_k) <= K
-        pair_at = np.clip(pair_k, -K, K) + K
+        # the slot paired with the inner frequency ki sits at mode s - ki
         if j == 3:
             k1, k2, k3 = ki, s - ki, kk - s
-            inner = f1.coeffs[None, :] * np.where(pair_ok, f2.coeffs[pair_at], 0)[None, :]
+            inner = f1.coeffs[None, :] * f2.gather(s - ks)[None, :]
         elif j == 1:
             k1, k2, k3 = kk - s, ki, s - ki
-            inner = f2.coeffs[None, :] * np.where(pair_ok, f3.coeffs[pair_at], 0)[None, :]
+            inner = f2.coeffs[None, :] * f3.gather(s - ks)[None, :]
         else:
             k1, k2, k3 = ki, kk - s, s - ki
-            inner = f1.coeffs[None, :] * np.where(pair_ok, f3.coeffs[pair_at], 0)[None, :]
-        outer_k = kk.ravel() - s
-        outer_ok = np.abs(outer_k) <= K
-        outer_at = np.clip(outer_k, -K, K) + K
-        outer_field = (f1, f2, f3)[j - 1]
-        outer = np.where(outer_ok, outer_field.coeffs[outer_at], 0) * f4_rev
+            inner = f1.coeffs[None, :] * f3.gather(s - ks)[None, :]
+        outer = (f1, f2, f3)[j - 1].gather(ks - s) * f4_rev
 
-        m1 = np.abs(k2 + k3)
-        m2 = np.abs(k1 + k3)
-        m3 = np.abs(k1 + k2)
-        mask = _a_masks(m1, m2, m3)[j - 1]
+        mask = _a_masks(*pair_sums(k1, k2, k3))[j - 1]
         grid = eta.eval(k1, k2, k3) * mask * inner
         total += w_s * np.sum(grid.sum(axis=1) * outer)
     return complex(total)
@@ -269,7 +254,10 @@ def verify_ibp(M: int, N: int, f1: FourierField, f2: FourierField,
     with P_N g in the third slot (that is what its change of variables
     produces); writing it through P_{~N} g would break exactness.
 
-    Returns |LHS - RHS| / max(|LHS|, |RHS|, floor). Zero input gives 0.
+    Returns |LHS - RHS| / max(|LHS|, |shift piece|, |boundary piece|, floor),
+    scaled by the terms that built the value: the two pieces can nearly
+    cancel to a small LHS, and their roundoff is relative to their own
+    size. Zero input gives 0.
     """
     for f in (f1, f2, g):
         f.require_real()
@@ -284,10 +272,13 @@ def verify_ibp(M: int, N: int, f1: FourierField, f2: FourierField,
     )
     g_near = _near_projection(g, N)
     g_N = project_dyadic(g, N)
-    bracket = (paired_quadrilinear(shift, 3, M, f1, f2, g_near, g_N)
-               + paired_quadrilinear(syms.eta_boundary, 3, M, f1, f2, g_N, g_N))
-    rhs = float((-2j * np.pi * M * bracket).real)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
+
+    def piece(eta, h):
+        return float((-2j * np.pi * M * paired_quadrilinear(eta, 3, M, f1, f2, h, g_N)).real)
+
+    shift_piece, boundary_piece = piece(shift, g_near), piece(syms.eta_boundary, g_N)
+    scale = max(abs(lhs), abs(shift_piece), abs(boundary_piece), RESIDUAL_FLOOR)
+    return abs(lhs - shift_piece - boundary_piece) / scale
 
 
 def g_functional(eta: SymbolFn, j: int, M: int,

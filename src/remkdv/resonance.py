@@ -2,8 +2,10 @@
 
 Everything here is arithmetic on lattice triples (k1, k2, k3): the cubic
 resonance functions, the pair-sum magnitudes m1, m2, m3, the A1/A2/A3
-classification, the D / D1 / D2 split of nonresonant triples, and bounded
-enumerators for the sets the energy functionals sum over.
+classification, the D / D1 / D2 split of nonresonant triples, bounded
+enumerators, and the cached, read-only cell tables (triples with their exact
+Omega3) that the energy functionals sum over. Other modules take cells, pair
+sums and Omega3 from here rather than re-deriving them.
 
 All arithmetic is done in Python integers, which are exact at any size; the
 vectorized scan helpers use int64 and are only safe for |k_i| well below
@@ -12,7 +14,8 @@ vectorized scan helpers use int64 and are only safe for |k_i| well below
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from functools import lru_cache
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,8 +33,13 @@ __all__ = [
     "enumerate_D1",
     "enumerate_D1_M",
     "enumerate_D2",
+    "d1_small_sums",
+    "d1_cells",
     "d1_triples",
     "d2_triples_medcut",
+    "CellTable",
+    "d1_table",
+    "d2_table",
 ]
 
 # D1 cut: m_med <= MED_RATIO * |k1+k2+k3|, with the constant frozen at 2^-9 so
@@ -179,55 +187,50 @@ def enumerate_D2(k: int, bound: int,
             yield t
 
 
-def _d1_threshold(k: int) -> int:
-    return int(np.floor(MED_RATIO * abs(k)))
+def d1_small_sums(k: int) -> np.ndarray:
+    """The values a small pair sum of a D1(k) cell takes: 1 <= |a| <= floor(|k|/512)."""
+    t = int(np.floor(MED_RATIO * abs(int(k))))
+    return np.concatenate([np.arange(-t, 0), np.arange(1, t + 1)])
+
+
+def d1_cells(k, a, b, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The D1 triples of output k whose two small signed pair sums are a, b.
+
+    On D1 exactly two of the three pair sums p_i = k - k_i are small (all
+    three sum to 2k), so a cell is fixed by which two indices carry the small
+    values and by those values a, b. Broadcasts over (k, a, b) to shape S and
+    returns the triples, shape (3, *S, 3) with one leading entry per branch
+    (p1, p2), (p1, p3), (p2, p3) = (a, b), and the mask, shape (3, *S), of
+    the cells in D1(k) with |k_i| <= bound: 1 <= |a|,|b| <= floor(|k|/512).
+    The third pair sum has size ~2|k|, so the branches are disjoint.
+    """
+    k, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in (k, a, b)))
+    c = a + b - k
+    tri = np.stack([np.stack([k - a, k - b, c], axis=-1),
+                    np.stack([k - a, c, k - b], axis=-1),
+                    np.stack([c, k - a, k - b], axis=-1)])
+    t = np.floor(MED_RATIO * np.abs(k))
+    small = (np.abs(a) >= 1) & (np.abs(a) <= t) & (np.abs(b) >= 1) & (np.abs(b) <= t)
+    return tri, small & np.all(np.abs(tri) <= bound, axis=-1)
 
 
 def d1_triples(k: int, bound: int) -> np.ndarray:
-    """D1(k) with |k_i| <= bound as an (n, 3) int64 array.
-
-    On D1 exactly two of the three pair sums are small (their sum over all
-    three is at least 2|k|), so the set is parametrized by which two indices
-    carry the small values and by those values a, b with 1 <= |a|,|b| <= t,
-    t = floor(MED_RATIO*|k|). The three branches are disjoint and complete.
-    """
-    k = int(k)
-    t = _d1_threshold(k)
-    if t < 1:
-        return np.zeros((0, 3), dtype=np.int64)
-    vals = np.concatenate([np.arange(-t, 0), np.arange(1, t + 1)])
+    """D1(k) with |k_i| <= bound as an (n, 3) int64 array, branch by branch
+    and, within a branch, in (a, b) lexicographic order (see d1_cells)."""
+    vals = d1_small_sums(k)
     a, b = np.meshgrid(vals, vals, indexing="ij")
-    a = a.ravel()
-    b = b.ravel()
-    # p_i = k - k_i are the signed pair sums; branch on which two are small.
-    branches = [
-        np.stack([k - a, k - b, a + b - k], axis=1),   # p1 = a, p2 = b
-        np.stack([k - a, a + b - k, k - b], axis=1),   # p1 = a, p3 = b
-        np.stack([a + b - k, k - a, k - b], axis=1),   # p2 = a, p3 = b
-    ]
-    keep = []
-    for tri in branches:
-        m = np.abs(np.stack([tri[:, 1] + tri[:, 2],
-                             tri[:, 0] + tri[:, 2],
-                             tri[:, 0] + tri[:, 1]], axis=1))
-        m_sorted = np.sort(m, axis=1)
-        ok = (m_sorted[:, 0] >= 1) & (m_sorted[:, 1] <= MED_RATIO * abs(k))
-        ok &= np.all(np.abs(tri) <= bound, axis=1)
-        keep.append(tri[ok])
-    if not keep:
-        return np.zeros((0, 3), dtype=np.int64)
-    out = np.concatenate(keep, axis=0)
-    # The branches are disjoint by construction (the third pair sum is of
-    # size ~2|k| and cannot be <= t), so no dedup is needed.
-    return out
+    tri, ok = d1_cells(k, a.ravel(), b.ravel(), bound)
+    return tri[ok]
 
 
 def d2_triples_medcut(k: int, bound: int, med_cut: float) -> np.ndarray:
     """D2(k) triples with median(|k1|,|k2|,|k3|) < med_cut, |k_i| <= bound.
 
-    Vectorized: a median below med_cut forces exactly two entries below it
-    (three is impossible once 3*med_cut <= |k|, which the caller's cuts
-    satisfy; when it is possible the full walk is used instead).
+    Vectorized: a median below med_cut forces exactly two entries a, b below
+    it (three is impossible once 3*med_cut <= |k|, which the caller's cuts
+    satisfy; when it is possible the full walk is used instead). The third
+    entry k - a - b is then the unique largest, so the triple is found once,
+    in the branch that puts it in slot 3, 2 or 1.
     """
     k = int(k)
     c = int(np.ceil(med_cut))
@@ -237,30 +240,40 @@ def d2_triples_medcut(k: int, bound: int, med_cut: float) -> np.ndarray:
                 lambda t: float(np.median(np.abs(t))) < med_cut)]
         return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
     vals = np.arange(-c + 1, c)
-    a, b = np.meshgrid(vals, vals, indexing="ij")
-    a = a.ravel()
-    b = b.ravel()
+    a, b = (x.ravel() for x in np.meshgrid(vals, vals, indexing="ij"))
     third = k - a - b
-    branches = [
-        np.stack([a, b, third], axis=1),
-        np.stack([a, third, b], axis=1),
-        np.stack([third, a, b], axis=1),
-    ]
-    keep = []
-    for tri in branches:
-        absk = np.abs(tri)
-        med = np.sort(absk, axis=1)[:, 1]
-        ok = (med < med_cut) & np.all(absk <= bound, axis=1)
-        # membership in the right branch: the entry NOT in {a,b} must be the
-        # largest, else the same triple appears from another branch
-        ok &= np.abs(third) >= c
-        m = np.abs(np.stack([tri[:, 1] + tri[:, 2],
-                             tri[:, 0] + tri[:, 2],
-                             tri[:, 0] + tri[:, 1]], axis=1))
-        m_sorted = np.sort(m, axis=1)
-        ok &= m_sorted[:, 0] >= 1                       # in D
-        ok &= m_sorted[:, 1] > MED_RATIO * abs(k)       # not in D1
-        keep.append(tri[ok])
-    if not keep:
-        return np.zeros((0, 3), dtype=np.int64)
-    return np.concatenate(keep, axis=0)
+    m_min, m_med, _ = np.sort(pair_sums(a, b, third), axis=0)
+    ok = (np.abs(third) >= c) & (np.abs(third) <= bound)
+    ok &= (np.abs(a) <= bound) & (np.abs(b) <= bound)
+    ok &= (m_min >= 1) & (m_med > MED_RATIO * abs(k))   # in D, not in D1
+    a, b, third = a[ok], b[ok], third[ok]
+    return np.concatenate([np.stack([a, b, third], axis=1),
+                           np.stack([a, third, b], axis=1),
+                           np.stack([third, a, b], axis=1)])
+
+
+class CellTable(NamedTuple):
+    """Read-only cells of one output mode: (n, 3) triples and their exact Omega3."""
+
+    triples: np.ndarray
+    omega3: np.ndarray
+
+
+def _frozen_table(tri: np.ndarray) -> CellTable:
+    table = CellTable(tri, omega3_factored(*tri.T))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=1024)
+def d1_table(k: int, bound: int) -> CellTable:
+    """Cached, read-only D1(k) cells; small (at most 192 rows at |k| <= 2048)."""
+    return _frozen_table(d1_triples(k, bound))
+
+
+@lru_cache(maxsize=8)
+def d2_table(k: int, bound: int, med_cut: float) -> CellTable:
+    """Cached, read-only median-cut D2(k) cells. These run to 10^5 rows
+    (123k at k = 1024, bound 2048), so few are kept."""
+    return _frozen_table(d2_triples_medcut(k, bound, med_cut))

@@ -395,3 +395,31 @@ class TestCli:
         rc = main(["energy-drift", "--out", str(tmp_path),
                    "--override", override])
         assert rc == 3
+
+    # keys these scans never read are not accepted: setting one is an
+    # unknown-key config error rather than a silent no-op
+    @pytest.mark.parametrize("command,override", [
+        ("energy-drift", "model.renormalized=false"),
+        ("energy-drift", "model.dealias=false"),
+        ("energy-drift", "profile.type=decaying"),
+        ("smoothing", "model.renormalized=false"),
+        ("smoothing", "model.dealias=false"),
+        ("smoothing", "profile.type=decaying"),
+        ("smoothing", "model.integrator=bogus"),
+    ])
+    def test_exit_3_on_unhonoured_key(self, tmp_path, capsys, command, override):
+        rc = main([command, "--out", str(tmp_path), *FAST_SIM[:6],
+                   "--override", override])
+        assert rc == 3
+        assert "unknown config key" in capsys.readouterr().err
+
+    def test_smoothing_exit_3_on_bad_model(self, tmp_path):
+        rc = main(["smoothing", "--out", str(tmp_path), "--override", "model.dt=-1"])
+        assert rc == 3
+
+    @pytest.mark.parametrize("command", ["simulate", "norms", "energy-drift"])
+    def test_exit_3_on_sample_every_below_one(self, tmp_path, capsys, command):
+        rc = main([command, "--out", str(tmp_path), *FAST_SIM[:6],
+                   "--override", "sample_every=0"])
+        assert rc == 3
+        assert "sample_every" in capsys.readouterr().err

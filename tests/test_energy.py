@@ -12,7 +12,7 @@ from remkdv.energy import (
     energy_mode,
 )
 from remkdv.fields import FourierField, phi_dyadic, sobolev_norm
-from remkdv.resonance import MED_RATIO, d1_triples, omega3
+from remkdv.resonance import MED_RATIO, d1_table, d1_triples, d2_table, omega3
 
 K_BIG = 2048
 K_MODE = 1024
@@ -112,6 +112,15 @@ class TestEnergyMode:
         assert rep.e31 == pytest.approx(base.e31, rel=1e-12)
         assert rep.total == pytest.approx(
             rep.quadratic + 2.0 * rep.e31 + 0.5 * rep.e32, rel=1e-12)
+
+    def test_repeat_call_builds_no_cell_table(self):
+        u = _random_real(K_BIG, seed=6, scale=1e-3)
+        first = energy_mode(u, K_MODE)
+        d1_before, d2_before = d1_table.cache_info(), d2_table.cache_info()
+        assert energy_mode(u, K_MODE) == first
+        assert d2_table.cache_info().misses == d2_before.misses
+        assert d2_table.cache_info().hits == d2_before.hits + 1
+        assert d1_table.cache_info().misses == d1_before.misses
 
     def test_e5_dormant_at_default_cut(self):
         # at k = 2^10 both resonance factors live on comparable cells, so the
@@ -236,13 +245,15 @@ class TestDiffEnergy:
         with pytest.raises(ValueError):
             diff_energy_dyadic(u, _random_real(16), 4, 512)
 
-    def test_live_block_correction(self):
+    @pytest.mark.parametrize("N", [1024, 2048])
+    def test_live_block_correction(self, N):
         # above the floor the block carries the polarized cubic correction;
-        # reproduce it with a plain loop over the phi_N-active modes
+        # reproduce it with a plain loop over the phi_N-active modes. Block
+        # 1024 reaches floor(|k|/512) = 3, block 2048 reaches 4.
         u = _random_real(K_BIG, seed=23, scale=2e-3)
         v = _random_real(K_BIG, seed=24, scale=2e-3)
         w = u - v
-        N, n0 = 1024, 512
+        n0 = 512
         got = diff_energy_dyadic(u, v, N, n0)
         base = 0.5 * float(np.sum(phi_dyadic(N, w.modes) ** 2
                                   * np.abs(w.coeffs) ** 2))

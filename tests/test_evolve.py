@@ -357,6 +357,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(_single_mode(8, 0.1), _cfg(max_mode=16))
 
+    @pytest.mark.parametrize("sample_every", [0, -1])
+    def test_rejects_sample_every_below_one(self, sample_every):
+        with pytest.raises(ValueError, match="sample_every"):
+            simulate(_single_mode(8, 0.1), _cfg(max_mode=8, dt=1e-3, t_final=1e-2),
+                     sample_every=sample_every)
+
     def test_snapshot_layout(self):
         u = _single_mode(8, 0.01)
         cfg = _cfg(max_mode=8, dt=1e-3, t_final=1e-2)

@@ -44,6 +44,13 @@ class TestFourierField:
         assert f.mode(0) == 0.0
         assert f.mode(99) == 0.0  # outside the lattice
 
+    def test_gather_matches_mode_lookup(self):
+        f = _random_real(5)
+        ks = np.array([[-9, -5, 0], [3, 5, 6]])
+        got = f.gather(ks)
+        assert got.shape == ks.shape
+        assert got.tolist() == [[f.mode(int(k)) for k in row] for row in ks]
+
     def test_hermitized_is_real(self):
         f = _random_real(16)
         assert f.is_real()

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from remkdv import pseudo
+from remkdv.diagnostics import random_real_field
 from remkdv.fields import (
     FourierField,
     deriv_multiplier,
@@ -254,6 +256,30 @@ class TestVerifyIBP:
         K = 64
         z = FourierField.zeros(K)
         assert verify_ibp(1, 16, z, z, z) == 0.0
+
+    def test_cancelling_pieces_stay_within_tolerance(self):
+        # Field 81 of suite_ibp at seed 1518544146 (N = 64, M = 1): the shift
+        # and boundary pieces, each of size ~263, cancel to an LHS of 0.136.
+        # Scaled by max(|LHS|, |RHS|) its roundoff read 2.29e-10 > 1e-10.
+        rng = np.random.default_rng(1518544146)
+        for _ in range(82):
+            f1, f2, g = (random_real_field(128, rng) for _ in range(3))
+        assert abs(t_functional(1, 64, f1, f2, g)) < 0.2
+        assert verify_ibp(1, 64, f1, f2, g) <= 1e-12
+
+    def test_wrong_boundary_symbol_is_caught(self, monkeypatch):
+        def off_by_one_percent(M, N):
+            syms = ibp_symbols(M, N)
+            b = syms.eta_boundary
+            return syms._replace(eta_boundary=SymbolFn(
+                lambda k1, k2, k3: 1.01 * b.eval(k1, k2, k3), b.sup_bound, b.name))
+
+        # scaling by the pieces must not hide a real error: a 1% boundary
+        # error reads 10^7 above the suites' 1e-10 tolerance
+        monkeypatch.setattr(pseudo, "ibp_symbols", off_by_one_percent)
+        for seed in (200, 300):
+            f1, f2, g = (_random_real(64, seed=seed + s) for s in (0, 1, 2))
+            assert verify_ibp(1, 16, f1, f2, g) >= 1e-3
 
 
 class TestGFunctional:

@@ -7,7 +7,10 @@ from remkdv.resonance import (
     MED_RATIO,
     TripleClass,
     classify,
+    d1_cells,
+    d1_table,
     d1_triples,
+    d2_table,
     d2_triples_medcut,
     dyadic_shadow,
     enumerate_D1,
@@ -238,6 +241,42 @@ class TestD1Enumeration:
                                  arr[:, 0] + arr[:, 1]], axis=1))
             assert np.all(m.max(axis=1) >= k / 8)
         assert found > 10000
+
+
+class TestCells:
+    def test_branches_carry_a_and_b_as_pair_sums(self):
+        k, a, b = 1500, -2, 1
+        tri, ok = d1_cells(k, a, b, 2048)
+        assert tri.shape == (3, 3) and ok.all()
+        assert np.all(tri.sum(axis=1) == k)
+        p = k - tri  # signed pair sums p_i = k - k_i
+        assert [p[0, 0], p[0, 1]] == [a, b]
+        assert [p[1, 0], p[1, 2]] == [a, b]
+        assert [p[2, 1], p[2, 2]] == [a, b]
+
+    def test_mask_is_d1_membership(self):
+        ks = np.arange(-1600, 1601, 7)
+        for a, b in [(1, 1), (-3, 2), (2, 0), (4, -1)]:
+            tri, ok = d1_cells(ks, a, b, 1550)
+            for branch in range(3):
+                for row, keep in zip(tri[branch], ok[branch]):
+                    inside = (classify(*row).d_class == "D1"
+                              and np.all(np.abs(row) <= 1550))
+                    assert keep == inside
+
+    def test_tables_hold_triples_and_exact_omega3(self):
+        cut = 700 ** (2 / 3)
+        for want, table in [(d1_triples(1300, 2048), d1_table(1300, 2048)),
+                            (d2_triples_medcut(700, 1024, cut), d2_table(700, 1024, cut))]:
+            assert np.array_equal(table.triples, want)
+            assert table.omega3.tolist() == [omega3(*map(int, r)) for r in want]
+
+    def test_cached_tables_are_read_only(self):
+        for table in (d1_table(1300, 2048), d2_table(700, 1024, 700 ** (2 / 3))):
+            for arr in table:
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+        assert d1_table(1300, 2048) is d1_table(1300, 2048)
 
 
 class TestD2Enumeration:
