@@ -15,6 +15,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -147,13 +148,24 @@ def _energy_config(section: dict) -> EnergyConfig:
         raise ConfigError(f"bad energy config: {exc}") from exc
 
 
+def _finite(value, name: str) -> float:
+    """A config number that must be finite (an amplitude or a decay rate)."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
 def _build_profile(section: dict, max_mode: int, seed: int):
     kind = section.get("type", "single_mode")
     if kind == "single_mode":
-        return single_mode_profile(max_mode, float(section.get("eps", 0.1)))
+        return single_mode_profile(max_mode, _finite(section.get("eps", 0.1), "profile.eps"))
     if kind == "decaying":
-        return decaying_profile(max_mode, float(section.get("eps", 0.1)),
-                                float(section.get("sigma", 2.0)), seed)
+        return decaying_profile(max_mode, _finite(section.get("eps", 0.1), "profile.eps"),
+                                _finite(section.get("sigma", 2.0), "profile.sigma"), seed)
     if kind == "file":
         path = section.get("path")
         if not path:
@@ -247,8 +259,8 @@ def _cmd_smoothing(cfg: dict, out_dir: Path) -> int:
     model = _model_config(cfg["model"])
     rep = smoothing_scan(
         max_mode=int(model.max_mode), t_final=float(model.t_final),
-        dt=float(model.dt), sigma=float(cfg["profile"]["sigma"]),
-        eps_list=[float(e) for e in cfg["eps_list"]],
+        dt=float(model.dt), sigma=_finite(cfg["profile"]["sigma"], "profile.sigma"),
+        eps_list=[_finite(e, "eps_list entry") for e in cfg["eps_list"]],
         watch_modes=[int(k) for k in cfg["watch_modes"]],
         seed=int(cfg["seed"]), sign=int(model.sign))
     with open(out_dir / "smoothing.csv", "w", newline="") as fh:
@@ -280,7 +292,8 @@ def _cmd_energy_drift(cfg: dict, out_dir: Path) -> int:
     rep: EnergyDriftReport = energy_drift_scan(
         max_mode=int(model.max_mode), k_watch=int(cfg["k_watch"]),
         t_final=float(model.t_final), dt=float(model.dt),
-        sigma=float(cfg["profile"]["sigma"]), eps=float(cfg["profile"]["eps"]),
+        sigma=_finite(cfg["profile"]["sigma"], "profile.sigma"),
+        eps=_finite(cfg["profile"]["eps"], "profile.eps"),
         seed=int(cfg["seed"]), sample_every=_sample_every(cfg),
         sign=int(model.sign), energy_config=_energy_config(cfg["energy"]),
         integrator=model.integrator)

@@ -10,6 +10,7 @@ Conventions, fixed once for the whole package:
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -210,12 +211,35 @@ def phi(x) -> np.ndarray:
     return chi(x) - chi(2.0 * np.asarray(x, dtype=np.float64))
 
 
+# phi_N on integers is read from a table up to this block (a 2 MB table)
+PHI_TABLE_MAX_N = 2 ** 16
+
+
+@lru_cache(maxsize=32)
+def _phi_table(N: int) -> np.ndarray:
+    """Read-only phi_N on the integers of [-L, L], L = max(2N, 1), from the
+    float formula. Both ends are 0, as is every integer beyond them."""
+    L = max(2 * N, 1)
+    table = phi_dyadic(N, np.arange(-L, L + 1, dtype=np.float64))
+    table.flags.writeable = False
+    return table
+
+
 def phi_dyadic(N: int, k) -> np.ndarray:
-    """phi_N(k): the block at dyadic N >= 1; the N = 0 block is chi(2k) = 1_{k=0}."""
+    """phi_N(k): the block at dyadic N >= 1; the N = 0 block is chi(2k) = 1_{k=0}.
+
+    Signed-integer k (for N <= PHI_TABLE_MAX_N) is read from a cached table
+    of the float formula's values, so the result is the same to the bit.
+    """
+    if N != 0 and (N < 1 or (N & (N - 1)) != 0):
+        raise ValueError(f"N must be 0 or a dyadic integer, got {N}")
+    k = np.asarray(k)
+    if k.dtype.kind == "i" and N <= PHI_TABLE_MAX_N:
+        table = _phi_table(N)
+        L = table.size // 2
+        return table[np.clip(k, -L, L) + L]
     if N == 0:
         return chi(2.0 * np.asarray(k, dtype=np.float64))
-    if N < 1 or (N & (N - 1)) != 0:
-        raise ValueError(f"N must be 0 or a dyadic integer, got {N}")
     return phi(np.asarray(k, dtype=np.float64) / N)
 
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .fields import (FourierField, deriv_multiplier, phi_dyadic, project_dyadic)
-from .resonance import pair_sums
+from .resonance import a_cell, pair_sums
 
 __all__ = [
     "SymbolFn",
@@ -54,10 +54,7 @@ def symbol_one() -> SymbolFn:
 
 def _a_masks(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray):
     """Indicator arrays of A1, A2, A3 with the priority tie-break (A1, then A2)."""
-    a1 = (m1 <= m2) & (m1 <= m3)
-    a2 = ~a1 & (m2 <= m1) & (m2 <= m3)
-    a3 = ~(a1 | a2)
-    return a1, a2, a3
+    return tuple(a_cell(j, m1, m2, m3) for j in (1, 2, 3))
 
 
 def _check_shared_mode(*fields: FourierField) -> int:
@@ -103,7 +100,7 @@ def pseudoproduct_restricted(eta: SymbolFn, j: int, M: int,
     _check_shared_mode(f, g, h)
 
     def weight(k1, k2, k3):
-        mask = _a_masks(*pair_sums(k1, k2, k3))[j - 1]
+        mask = a_cell(j, *pair_sums(k1, k2, k3))
         s = (k2 + k3, k1 + k3, k1 + k2)[j - 1]
         return eta.eval(k1, k2, k3) * mask * phi_dyadic(M, s)
 
@@ -128,31 +125,45 @@ def paired_quadrilinear(eta: SymbolFn, j: int, M: int,
     """
     if j not in (1, 2, 3):
         raise ValueError("j must be 1, 2 or 3")
-    K = _check_shared_mode(f1, f2, f3, f4)
+    _check_shared_mode(f1, f2, f3, f4)
+    fa, fb = [f for i, f in enumerate((f1, f2, f3), 1) if i != j]
+    return _paired_sums(j, M, fa, fb, [(eta, (f1, f2, f3)[j - 1], f4)])[0]
+
+
+def _paired_sums(j: int, M: int, fa: FourierField, fb: FourierField,
+                 pieces) -> list[complex]:
+    """paired_quadrilinear for pieces (eta, f_j, f4) that share the fields fa,
+    fb of the two slots other than j (in slot order). The A_j mask and the
+    inner product are built once per pair sum s for all pieces; each piece
+    sums in the order of a call of its own."""
+    K = fa.max_mode
     ks = np.arange(-K, K + 1)
     kk = ks[:, None]          # output frequency k
     ki = ks[None, :]          # free inner frequency
-    f4_rev = f4.coeffs[::-1]  # f4^(-k) indexed like k
-    total = 0.0 + 0.0j
+    totals = [0.0 + 0.0j] * len(pieces)
     for s in _support_sums(int(M)):
         s = int(s)
         w_s = float(phi_dyadic(M, s))
         # the slot paired with the inner frequency ki sits at mode s - ki
-        if j == 3:
-            k1, k2, k3 = ki, s - ki, kk - s
-            inner = f1.coeffs[None, :] * f2.gather(s - ks)[None, :]
-        elif j == 1:
-            k1, k2, k3 = kk - s, ki, s - ki
-            inner = f2.coeffs[None, :] * f3.gather(s - ks)[None, :]
-        else:
-            k1, k2, k3 = ki, kk - s, s - ki
-            inner = f1.coeffs[None, :] * f3.gather(s - ks)[None, :]
-        outer = (f1, f2, f3)[j - 1].gather(ks - s) * f4_rev
+        slots = [ki, s - ki]
+        slots.insert(j - 1, kk - s)
+        k1, k2, k3 = slots
+        inner = fa.coeffs[None, :] * fb.gather(s - ks)[None, :]
+        mask = a_cell(j, *pair_sums(k1, k2, k3))
+        for n, (eta, fj, f4) in enumerate(pieces):
+            outer = fj.gather(ks - s) * f4.coeffs[::-1]   # f4^(-k) indexed like k
+            grid = eta.eval(k1, k2, k3) * mask * inner
+            totals[n] += w_s * np.sum(grid.sum(axis=1) * outer)
+    return [complex(t) for t in totals]
 
-        mask = _a_masks(*pair_sums(k1, k2, k3))[j - 1]
-        grid = eta.eval(k1, k2, k3) * mask * inner
-        total += w_s * np.sum(grid.sum(axis=1) * outer)
-    return complex(total)
+
+def _t_last(N: int, g: FourierField) -> FourierField:
+    """The last slot of T_{M,N}: P_N^2 dg/dx (P_N is self-adjoint)."""
+    if N < 4:
+        raise ValueError("N must be at least 4")
+    ks = g.modes
+    return FourierField(g.coeffs * phi_dyadic(N, ks) ** 2 * deriv_multiplier(ks),
+                        copy=False)
 
 
 def t_functional(M: int, N: int, f1: FourierField, f2: FourierField,
@@ -162,14 +173,10 @@ def t_functional(M: int, N: int, f1: FourierField, f2: FourierField,
     Real by construction for real inputs. Self-adjointness of P_N moves both
     projectors onto the last slot, which the paired kernel then contracts.
     """
-    if N < 4:
-        raise ValueError("N must be at least 4")
+    last = _t_last(N, g)
     for f in (f1, f2, g):
         f.require_real()
-    K = _check_shared_mode(f1, f2, g)
-    ks = np.arange(-K, K + 1)
-    last = FourierField(g.coeffs * phi_dyadic(N, ks) ** 2 * deriv_multiplier(ks),
-                        copy=False)
+    _check_shared_mode(f1, f2, g)
     val = paired_quadrilinear(symbol_one(), 3, M, f1, f2, g, last)
     return float(val.real)
 
@@ -261,22 +268,24 @@ def verify_ibp(M: int, N: int, f1: FourierField, f2: FourierField,
     """
     for f in (f1, f2, g):
         f.require_real()
+    _check_shared_mode(f1, f2, g)
     syms = ibp_symbols(M, N)
-    lhs = t_functional(M, N, f1, f2, g)
-
     shift = SymbolFn(
         lambda k1, k2, k3: syms.eta_shift_out.eval(k1, k2, k3)
         + syms.eta_shift_diff.eval(k1, k2, k3),
         syms.eta_shift_out.sup_bound + syms.eta_shift_diff.sup_bound,
         "eta_shift",
     )
-    g_near = _near_projection(g, N)
     g_N = project_dyadic(g, N)
-
-    def piece(eta, h):
-        return float((-2j * np.pi * M * paired_quadrilinear(eta, 3, M, f1, f2, h, g_N)).real)
-
-    shift_piece, boundary_piece = piece(shift, g_near), piece(syms.eta_boundary, g_N)
+    # T and the two pieces share f1, f2 and so the mask of each pair sum
+    t_val, shift_val, boundary_val = _paired_sums(3, M, f1, f2, [
+        (symbol_one(), g, _t_last(N, g)),
+        (shift, _near_projection(g, N), g_N),
+        (syms.eta_boundary, g_N, g_N),
+    ])
+    lhs = float(t_val.real)
+    shift_piece = float((-2j * np.pi * M * shift_val).real)
+    boundary_piece = float((-2j * np.pi * M * boundary_val).real)
     scale = max(abs(lhs), abs(shift_piece), abs(boundary_piece), RESIDUAL_FLOOR)
     return abs(lhs - shift_piece - boundary_piece) / scale
 

@@ -5,11 +5,15 @@ resonance functions, the pair-sum magnitudes m1, m2, m3, the A1/A2/A3
 classification, the D / D1 / D2 split of nonresonant triples, bounded
 enumerators, and the cached, read-only cell tables (triples with their exact
 Omega3) that the energy functionals sum over. Other modules take cells, pair
-sums and Omega3 from here rather than re-deriving them.
+sums, the A-cell tie-break and Omega3 from here rather than re-deriving them.
 
-All arithmetic is done in Python integers, which are exact at any size; the
-vectorized scan helpers use int64 and are only safe for |k_i| well below
-2^21 (cubes must fit in 63 bits), which every scan here respects.
+The scalar functions work in Python integers, which are exact at any size.
+The array paths (classify_array, d1_cells, d2_triples_medcut and the tables
+built on them) work in int64 and raise ValueError for |k_i|, |k| or bound
+>= INT64_BOUND = 2^21, so that the cube of every entry fits in 63 bits.
+omega3_factored on arrays is not guarded: its product of three pair sums
+can pass 2^63 near that bound, while on the cell tables two of the three
+pair sums are small and it stays far below.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "MED_RATIO",
+    "INT64_BOUND",
     "omega3",
     "omega3_factored",
     "omega5",
@@ -29,6 +34,8 @@ __all__ = [
     "dyadic_shadow",
     "TripleClass",
     "classify",
+    "a_cell",
+    "classify_array",
     "enumerate_gamma3",
     "enumerate_D1",
     "enumerate_D1_M",
@@ -45,6 +52,17 @@ __all__ = [
 # D1 cut: m_med <= MED_RATIO * |k1+k2+k3|, with the constant frozen at 2^-9 so
 # the enumerators and the classifier stay in exact agreement.
 MED_RATIO = 2.0 ** -9
+
+# Entries and bounds of the int64 paths stay below this, so cubes fit in 63 bits.
+INT64_BOUND = 2 ** 21
+
+
+def _check_int64_range(*values) -> None:
+    """Raise ValueError unless every entry of every value is below INT64_BOUND
+    in size."""
+    if any(np.abs(v).max(initial=0) >= INT64_BOUND for v in values):
+        raise ValueError(f"frequencies and bounds must be below {INT64_BOUND} "
+                         f"on the int64 paths")
 
 
 def omega3(k1: int, k2: int, k3: int) -> int:
@@ -139,6 +157,35 @@ def classify(k1: int, k2: int, k3: int) -> TripleClass:
                        omega3(k1, k2, k3), a_class, d_class)
 
 
+def a_cell(j: int, m1, m2, m3) -> np.ndarray:
+    """Indicator of A_j on arrays of pair-sum magnitudes: m_j is the smallest,
+    and a tie goes to the lower index (A1 first, then A2), as in classify."""
+    m = (m1, m2, m3)
+    mj = m[j - 1]
+    # strictly below the earlier slots, at most the later ones
+    first, second = [mj < mi for mi in m[:j - 1]] + [mj <= mi for mi in m[j:]]
+    return first & second
+
+
+def classify_array(k1, k2, k3) -> tuple[np.ndarray, np.ndarray]:
+    """classify on int64 arrays, broadcast over the three entries.
+
+    Returns (a_class, d_class) as int8 arrays: a_class is 1, 2 or 3 as in
+    classify, d_class is 0 off D (a zero pair sum), 1 on D1 and 2 on D2.
+    Raises ValueError for |k_i| >= INT64_BOUND.
+    """
+    k1, k2, k3 = (np.asarray(k, dtype=np.int64) for k in (k1, k2, k3))
+    _check_int64_range(k1, k2, k3)
+    m1, m2, m3 = pair_sums(k1, k2, k3)
+    a_class = np.where(a_cell(1, m1, m2, m3), 1,
+                       np.where(a_cell(2, m1, m2, m3), 2, 3)).astype(np.int8)
+    m_min = np.minimum(np.minimum(m1, m2), m3)
+    m_med = np.maximum(np.minimum(m1, m2), np.minimum(np.maximum(m1, m2), m3))
+    d_class = np.where(m_min == 0, 0,
+                       np.where(m_med <= MED_RATIO * np.abs(k1 + k2 + k3), 1, 2))
+    return a_class, d_class.astype(np.int8)
+
+
 def enumerate_gamma3(k: int, bound: int) -> Iterator[tuple[int, int, int]]:
     """All (k1,k2,k3) with k1+k2+k3 = k and |k_i| <= bound, lexicographically.
 
@@ -202,8 +249,10 @@ def d1_cells(k, a, b, bound: int) -> tuple[np.ndarray, np.ndarray]:
     returns the triples, shape (3, *S, 3) with one leading entry per branch
     (p1, p2), (p1, p3), (p2, p3) = (a, b), and the mask, shape (3, *S), of
     the cells in D1(k) with |k_i| <= bound: 1 <= |a|,|b| <= floor(|k|/512).
-    The third pair sum has size ~2|k|, so the branches are disjoint.
+    The third pair sum has size ~2|k|, so the branches are disjoint. Raises
+    ValueError for |k| or bound >= INT64_BOUND.
     """
+    _check_int64_range(bound, k)
     k, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in (k, a, b)))
     c = a + b - k
     tri = np.stack([np.stack([k - a, k - b, c], axis=-1),
@@ -228,17 +277,24 @@ def d2_triples_medcut(k: int, bound: int, med_cut: float) -> np.ndarray:
 
     Vectorized: a median below med_cut forces exactly two entries a, b below
     it (three is impossible once 3*med_cut <= |k|, which the caller's cuts
-    satisfy; when it is possible the full walk is used instead). The third
-    entry k - a - b is then the unique largest, so the triple is found once,
-    in the branch that puts it in slot 3, 2 or 1.
+    satisfy). The third entry k - a - b is then the unique largest, so the
+    triple is found once, in the branch that puts it in slot 3, 2 or 1.
+    When three small entries are possible, the lattice is walked instead,
+    one k1 slab at a time through classify_array, in the lexicographic
+    order of enumerate_D2. Raises ValueError for |k| or bound >= INT64_BOUND.
     """
     k = int(k)
+    _check_int64_range(bound, k)
     c = int(np.ceil(med_cut))
     if 3 * c > abs(k):
-        # small-k fallback: exact lattice walk
-        rows = [t for t in enumerate_D2(k, bound,
-                lambda t: float(np.median(np.abs(t))) < med_cut)]
-        return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+        rows = [np.empty((0, 3), dtype=np.int64)]
+        for k1 in range(-bound, bound + 1):
+            k2 = np.arange(max(-bound, k - k1 - bound), min(bound, k - k1 + bound) + 1)
+            tri = np.stack([np.full_like(k2, k1), k2, k - k1 - k2], axis=1)
+            d_class = classify_array(*tri.T)[1]
+            med = np.sort(np.abs(tri), axis=1)[:, 1]
+            rows.append(tri[(d_class == 2) & (med < med_cut)])
+        return np.concatenate(rows)
     vals = np.arange(-c + 1, c)
     a, b = (x.ravel() for x in np.meshgrid(vals, vals, indexing="ij"))
     third = k - a - b

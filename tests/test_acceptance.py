@@ -43,6 +43,7 @@ from remkdv.pseudo import _a_masks, ibp_symbols
 from remkdv.resonance import (
     MED_RATIO,
     classify,
+    classify_array,
     d1_triples,
     omega3,
     omega3_factored,
@@ -185,6 +186,10 @@ def test_criterion_2_partition_properties():
                 tc = classify(ks[i], ks[j], ks[l])
                 assert tc.a_class == expected_a[i, j, l]
                 assert d_names[tc.d_class] == expected_d[i, j, l]
+        # the array classifier lands on the same cells, one k1 slab at a time
+        arr_a, arr_d = classify_array(k1[i], k2[i], k3[i])
+        assert np.array_equal(arr_a, expected_a[i])
+        assert np.array_equal(arr_d, expected_d[i])
 
     # the box has no D1 triples (they need |k1+k2+k3| >= 512); check the
     # disjointness and totality of the D-split on constructed ones as well

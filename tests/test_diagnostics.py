@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from remkdv import diagnostics, resonance
 from remkdv.cli import main
 from remkdv.diagnostics import (
     decaying_profile,
@@ -150,6 +151,33 @@ class TestSuites:
     def test_partition_suite_standalone(self):
         for c in suite_partition(bound=16):
             assert c.passed
+
+    def test_partition_suite_makes_no_scalar_classify_call(self, monkeypatch):
+        calls = []
+        classify = resonance.classify
+
+        def counting(*t):
+            calls.append(t)
+            return classify(*t)
+
+        monkeypatch.setattr(resonance, "classify", counting)
+        monkeypatch.setattr(diagnostics, "classify", counting)
+        [c] = suite_partition(bound=16)
+        assert c.passed and calls == []
+
+    def test_partition_suite_catches_a_wrong_tie_break(self, monkeypatch):
+        a_cell = resonance.a_cell
+
+        def m1_m2_ties_to_a2(j, m1, m2, m3):
+            if j == 1:
+                return (m1 < m2) & (m1 <= m3)
+            if j == 2:
+                return (m2 <= m1) & (m2 <= m3)
+            return a_cell(j, m1, m2, m3)
+
+        monkeypatch.setattr(resonance, "a_cell", m1_m2_ties_to_a2)
+        [c] = suite_partition(bound=8)
+        assert not c.passed and c.residual > 0
 
 
 class TestSmoothingScan:
@@ -416,6 +444,23 @@ class TestCli:
     def test_smoothing_exit_3_on_bad_model(self, tmp_path):
         rc = main(["smoothing", "--out", str(tmp_path), "--override", "model.dt=-1"])
         assert rc == 3
+
+    # a non-finite amplitude or decay rate is a config error, not a blow-up
+    @pytest.mark.parametrize("command,overrides", [
+        ("simulate", ["profile.eps=NaN"]),
+        ("simulate", ["profile.type=decaying", "profile.sigma=Infinity"]),
+        ("norms", ["profile.eps=NaN"]),
+        ("norms", ["profile.sigma=NaN"]),
+        ("energy-drift", ["profile.eps=NaN"]),
+        ("energy-drift", ["profile.sigma=-Infinity"]),
+        ("smoothing", ["profile.sigma=NaN"]),
+        ("smoothing", ["eps_list=[0.05, NaN]"]),
+    ])
+    def test_exit_3_on_non_finite_profile(self, tmp_path, capsys, command, overrides):
+        args = [a for o in overrides for a in ("--override", o)]
+        rc = main([command, "--out", str(tmp_path), *FAST_SIM[:6], *args])
+        assert rc == 3
+        assert "must be a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "norms", "energy-drift"])
     def test_exit_3_on_sample_every_below_one(self, tmp_path, capsys, command):

@@ -137,6 +137,25 @@ class TestCutoffs:
         w = phi_dyadic(0, ks)
         assert w[5] == 1.0 and np.count_nonzero(w) == 1
 
+    @pytest.mark.parametrize("N", [0] + [2 ** i for i in range(15)])
+    def test_phi_dyadic_table_equals_formula(self, N):
+        # integers are read from a table, floats take the formula
+        L = max(2 * N, 1)
+        ks = np.arange(-3 * L - 2, 3 * L + 3)
+        for k in (ks, ks.reshape(-1, 1)[: 2 * L], np.array([-2 ** 40, 2 ** 40])):
+            got, want = phi_dyadic(N, k), phi_dyadic(N, k.astype(np.float64))
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        for k in (N // 2 + 1, -N, np.int64(N), np.asarray(3)):
+            got, want = phi_dyadic(N, k), phi_dyadic(N, float(k))
+            assert np.shape(got) == np.shape(want) == ()
+            assert got.dtype == want.dtype and got == want
+
+    def test_phi_dyadic_result_is_a_fresh_array(self):
+        first = phi_dyadic(8, np.arange(-20, 21))
+        first[:] = -1.0
+        assert phi_dyadic(8, np.arange(-20, 21)).min() == 0.0
+
     def test_partition_of_unity(self):
         ks = np.arange(-4096, 4097)
         assert np.max(np.abs(lp_partition_sum(ks, 8192) - 1.0)) <= 1e-12

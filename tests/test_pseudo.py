@@ -29,6 +29,7 @@ from remkdv.pseudo import (
     t_functional,
     verify_ibp,
 )
+from remkdv.resonance import a_cell
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -266,6 +267,19 @@ class TestVerifyIBP:
             f1, f2, g = (random_real_field(128, rng) for _ in range(3))
         assert abs(t_functional(1, 64, f1, f2, g)) < 0.2
         assert verify_ibp(1, 64, f1, f2, g) <= 1e-12
+
+    def test_one_a_mask_per_pair_sum(self, monkeypatch):
+        # T and both pieces share the mask of each pair sum s
+        built = []
+
+        def counting(j, *m):
+            built.append(j)
+            return a_cell(j, *m)
+
+        monkeypatch.setattr(pseudo, "a_cell", counting)
+        f1, f2, g = (_random_real(64, seed=400 + s) for s in (0, 1, 2))
+        assert verify_ibp(4, 64, f1, f2, g) <= 1e-12
+        assert built == [3] * len(_support_sums(4))
 
     def test_wrong_boundary_symbol_is_caught(self, monkeypatch):
         def off_by_one_percent(M, N):

@@ -1,12 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remkdv.resonance import (
+    INT64_BOUND,
     MED_RATIO,
     TripleClass,
     classify,
+    classify_array,
     d1_cells,
     d1_table,
     d1_triples,
@@ -159,6 +163,66 @@ class TestClassify:
         assert c.a_class == 1 + [c.m1, c.m2, c.m3].index(c.m_min)
 
 
+D_CODES = {"none": 0, "D1": 1, "D2": 2}
+
+
+def _scalar_classes(rows):
+    cls = [classify(*map(int, r)) for r in rows]
+    return ([c.a_class for c in cls], [D_CODES[c.d_class] for c in cls])
+
+
+class TestClassifyArray:
+    def test_matches_scalar_on_box(self):
+        ks = np.arange(-12, 13)
+        rows = np.stack(np.meshgrid(ks, ks, ks, indexing="ij"), axis=-1).reshape(-1, 3)
+        a, d = classify_array(*rows.T)
+        assert (a.tolist(), d.tolist()) == _scalar_classes(rows)
+        assert a.dtype == d.dtype == np.int8
+
+    def test_matches_scalar_on_wide_random_triples(self):
+        rng = np.random.default_rng(20)
+        rows = rng.integers(-2 ** 20, 2 ** 20 + 1, size=(20000, 3))
+        # ties and D1 cells are rare among uniform triples: add both
+        rows[:2000, 1] = rows[:2000, 0]
+        rows[2000:4000, 2] = -rows[2000:4000, 1]
+        k = rng.integers(2 ** 19, 2 ** 20, size=2000)
+        pa, pb = (rng.integers(1, k // 512 + 1) * rng.choice([-1, 1], size=2000)
+                  for _ in range(2))
+        tri, ok = d1_cells(k, pa, pb, 2 ** 20)
+        rows = np.concatenate([rows, tri[0][ok[0]]])
+        a, d = classify_array(*rows.T)
+        assert (a.tolist(), d.tolist()) == _scalar_classes(rows)
+        assert set(d.tolist()) == {0, 1, 2}
+
+    def test_broadcasts(self):
+        a, d = classify_array(3, np.arange(-4, 5)[:, None], np.arange(-4, 5)[None, :])
+        assert a.shape == d.shape == (9, 9)
+        assert a[0, 0] == classify(3, -4, -4).a_class
+
+
+class TestInt64Guard:
+    B = INT64_BOUND
+
+    @pytest.mark.parametrize("call", [
+        lambda B: classify_array(B, 0, 0),
+        lambda B: classify_array(0, np.array([1, -B]), 0),
+        lambda B: d1_cells(B, 1, 1, 16),
+        lambda B: d1_cells(np.array([600, -B]), 1, 1, 16),
+        lambda B: d1_cells(600, 1, 1, B),
+        lambda B: d2_triples_medcut(B, 16, 4.0),
+        lambda B: d2_triples_medcut(1024, B, 1024 ** (2 / 3)),
+    ])
+    def test_rejects_the_int64_bound(self, call):
+        with pytest.raises(ValueError, match="below"):
+            call(self.B)
+
+    def test_accepts_just_below(self):
+        B = self.B - 1
+        assert classify_array(B, -B, B)[1] == D_CODES[classify(B, -B, B).d_class]
+        assert d1_cells(B, 1, 1, B)[1].all()
+        assert d2_triples_medcut(B, 16, 4.0).shape == (0, 3)
+
+
 class TestEnumerateGamma3:
     def test_small_exhaustive(self):
         triples = list(enumerate_gamma3(0, 1))
@@ -298,6 +362,25 @@ class TestD2Enumeration:
         med = np.sort(absrows, axis=1)[:, 1]
         want = _rowset(brute_d2[med < cut])
         assert _rowset(d2_triples_medcut(k, bound, cut)) == want
+
+    @pytest.mark.parametrize("k,bound,cut", [
+        (9, 12, 9 ** (2 / 3)), (0, 10, 3.0), (-7, 15, 5.5), (100, 40, 40.0),
+        (5, 3, 10.0), (2, 0, 1.0),
+    ])
+    def test_fallback_equals_the_lattice_walk(self, k, bound, cut):
+        walk = list(enumerate_D2(k, bound, lambda t: float(np.median(np.abs(t))) < cut))
+        want = np.asarray(walk, dtype=np.int64).reshape(-1, 3)
+        got = d2_triples_medcut(k, bound, cut)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)  # same rows in the same order
+
+    def test_fallback_is_fast_at_large_bound(self):
+        # the scalar walk took 5 s here and 4x longer per doubling of bound
+        t0 = time.perf_counter()
+        rows = d2_triples_medcut(9, 256, 9 ** (2 / 3))
+        assert time.perf_counter() - t0 < 1.0
+        assert rows.shape[0] > 0
+        assert np.all(classify_array(*rows.T)[1] == 2)
 
     def test_membership_and_cut(self):
         k = 1024
