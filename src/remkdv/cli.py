@@ -124,10 +124,12 @@ def _load_config(command: str, args) -> dict:
         _set_dotted(cfg, key.strip(), raw.strip())
     if args.seed is not None:
         cfg["seed"] = args.seed
+    _integer(cfg["seed"], "seed")
     return cfg
 
 
 def _model_config(section: dict) -> ModelConfig:
+    _integer(section["max_mode"], "model.max_mode")
     try:
         return ModelConfig(**section)
     except (TypeError, ValueError) as exc:
@@ -135,7 +137,7 @@ def _model_config(section: dict) -> ModelConfig:
 
 
 def _sample_every(cfg: dict) -> int:
-    n = int(cfg["sample_every"])
+    n = _integer(cfg["sample_every"], "sample_every")
     if n < 1:
         raise ConfigError(f"sample_every must be at least 1, got {n}")
     return n
@@ -157,6 +159,20 @@ def _finite(value, name: str) -> float:
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return x
+
+
+def _integer(value, name: str) -> int:
+    """A config integer (a seed, a mode or a count)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, convert, name: str) -> list:
+    """A config list, each entry passed through convert(entry, name)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return [convert(v, f"{name} entry") for v in value]
 
 
 def _build_profile(section: dict, max_mode: int, seed: int):
@@ -231,7 +247,9 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_identities(cfg: dict, out_dir: Path) -> int:
-    checks = run_identity_suites(seed=int(cfg["seed"]), quick=bool(cfg["quick"]))
+    if not isinstance(cfg["quick"], bool):
+        raise ConfigError(f"quick must be true or false, got {cfg['quick']!r}")
+    checks = run_identity_suites(seed=cfg["seed"], quick=cfg["quick"])
     with open(out_dir / "identities.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["name", "residual", "tol", "passed"])
@@ -257,12 +275,17 @@ def _smoothing_rows(rep: SmoothingReport):
 
 def _cmd_smoothing(cfg: dict, out_dir: Path) -> int:
     model = _model_config(cfg["model"])
+    band = cfg["scaling_band"]
+    if band is not None:
+        band = _list(band, _finite, "scaling_band")
+        if len(band) != 2:
+            raise ConfigError(f"scaling_band must be [low, high], got {band!r}")
     rep = smoothing_scan(
         max_mode=int(model.max_mode), t_final=float(model.t_final),
         dt=float(model.dt), sigma=_finite(cfg["profile"]["sigma"], "profile.sigma"),
-        eps_list=[_finite(e, "eps_list entry") for e in cfg["eps_list"]],
-        watch_modes=[int(k) for k in cfg["watch_modes"]],
-        seed=int(cfg["seed"]), sign=int(model.sign))
+        eps_list=_list(cfg["eps_list"], _finite, "eps_list"),
+        watch_modes=_list(cfg["watch_modes"], _integer, "watch_modes"),
+        seed=cfg["seed"], sign=int(model.sign))
     with open(out_dir / "smoothing.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["eps", "k", "sup_deviation"])
@@ -278,9 +301,8 @@ def _cmd_smoothing(cfg: dict, out_dir: Path) -> int:
                     {"ratios": ratios,
                      "deviation": {f"{eps!r}:{k}": dev
                                    for eps, k, dev in _smoothing_rows(rep)}})
-    band = cfg.get("scaling_band")
     if band is not None:
-        lo, hi = float(band[0]), float(band[1])
+        lo, hi = band
         if not all(lo <= r <= hi for r in ratios.values()):
             print(f"smoothing: ratio outside required band [{lo}, {hi}]")
             return 1
@@ -289,12 +311,15 @@ def _cmd_smoothing(cfg: dict, out_dir: Path) -> int:
 
 def _cmd_energy_drift(cfg: dict, out_dir: Path) -> int:
     model = _model_config(cfg["model"])
+    limit = cfg["require_ratio_below"]
+    if limit is not None:
+        limit = _finite(limit, "require_ratio_below")
     rep: EnergyDriftReport = energy_drift_scan(
-        max_mode=int(model.max_mode), k_watch=int(cfg["k_watch"]),
+        max_mode=int(model.max_mode), k_watch=_integer(cfg["k_watch"], "k_watch"),
         t_final=float(model.t_final), dt=float(model.dt),
         sigma=_finite(cfg["profile"]["sigma"], "profile.sigma"),
         eps=_finite(cfg["profile"]["eps"], "profile.eps"),
-        seed=int(cfg["seed"]), sample_every=_sample_every(cfg),
+        seed=cfg["seed"], sample_every=_sample_every(cfg),
         sign=int(model.sign), energy_config=_energy_config(cfg["energy"]),
         integrator=model.integrator)
     with open(out_dir / "energy_drift.csv", "w", newline="") as fh:
@@ -309,8 +334,7 @@ def _cmd_energy_drift(cfg: dict, out_dir: Path) -> int:
         "drift_total": rep.drift_total,
         "ratio": rep.ratio,
     })
-    limit = cfg.get("require_ratio_below")
-    if limit is not None and not rep.ratio < float(limit):
+    if limit is not None and not rep.ratio < limit:
         print(f"energy-drift: ratio {rep.ratio:.3f} not below required {limit}")
         return 1
     return 0
@@ -319,8 +343,9 @@ def _cmd_energy_drift(cfg: dict, out_dir: Path) -> int:
 def _cmd_norms(cfg: dict, out_dir: Path) -> int:
     model = _model_config(cfg["model"])
     u0 = _build_profile(cfg["profile"], model.max_mode, cfg["seed"])
+    s = _finite(cfg["s"], "s")
     res = simulate(u0, model, sample_every=_sample_every(cfg))
-    rep = norms_report(res.snapshots, res.times, s=float(cfg["s"]))
+    rep = norms_report(res.snapshots, res.times, s=s)
     with open(out_dir / "norms.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["name", "value"])

@@ -2,9 +2,10 @@
 ModelConfig.integrator (see INTEGRATORS):
 
 * "ifrk4": fourth-order Runge-Kutta with an integrating factor for the
-  third-derivative term, exact Galerkin cubic via a padded grid. It samples
-  each cubic phase exp(i (2 pi)^3 Omega3 t) at three points per step, so it
-  is accurate only while dt (2 pi)^3 |Omega3| stays small on every triple.
+  third-derivative term, on the modes k >= 0 of the real field, with the
+  exact Galerkin cubic from one rfft pair on a padded grid. It samples each
+  cubic phase exp(i (2 pi)^3 Omega3 t) at three points per step, so it is
+  accurate only while dt (2 pi)^3 |Omega3| stays small on every triple.
 * "exact-phase": a first-order exponential step that integrates every cubic
   phase exactly over the step (the resonance-based approach of
   Hofmanova-Schratz and Ning-Wu-Zhao). The resonant diagonal is a pure
@@ -75,6 +76,14 @@ class ModelConfig:
             raise ValueError("the exact-phase integrator sums the triples "
                              "exactly; dealias=False has no meaning for it")
 
+    @property
+    def n_steps(self) -> int:
+        """Steps of size dt to t_final; ValueError unless dt divides t_final."""
+        n = round(self.t_final / self.dt)
+        if abs(n * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
+            raise ValueError("t_final must be an integer multiple of dt")
+        return n
+
 
 @dataclass
 class SimulationState:
@@ -99,28 +108,41 @@ class BlowUpError(RuntimeError):
 
 
 @lru_cache(maxsize=32)
-def _grid_plan(max_mode: int, dealias: bool):
-    """FFT grid size and the index map from centered modes into that grid."""
-    K = max_mode
-    n = scipy.fft.next_fast_len(4 * K + 1) if dealias else 2 * K + 1
-    ks = np.arange(-K, K + 1)
-    return n, ks % n
+def _kernel_plan(max_mode: int, dealias: bool):
+    """Real grid length of the cubic, and d/dx on the modes 0..K."""
+    n = scipy.fft.next_fast_len(4 * max_mode + 1, real=True) if dealias else 2 * max_mode + 1
+    return n, deriv_multiplier(np.arange(max_mode + 1))
+
+
+def _cube_half(h: np.ndarray, n: int) -> np.ndarray:
+    """Modes 0..K of u^3, u real with modes 0..K = h, on n grid points. With
+    n >= 4K+1 the pointwise cube is the exact Galerkin truncation (u^3 has
+    modes up to 3K, and 4K+1 >= 3K + K + 1 leaves no wraparound in the
+    retained band); n = 2K+1 aliases."""
+    vals = scipy.fft.irfft(h, n, norm="forward")
+    vals *= vals * vals
+    return scipy.fft.rfft(vals, norm="forward")[:h.size]
+
+
+def _mirror(h: np.ndarray) -> np.ndarray:
+    """The centered 2K+1 coefficients of the real field with modes 0..K = h."""
+    return np.concatenate((np.conj(h[:0:-1]), h))
+
+
+def _transport(h: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """Modes 0..K of -sign d/dx(u^3 [- 3 P0(u^2) u]), u real with modes h."""
+    n, d = _kernel_plan(cfg.max_mode, cfg.dealias)
+    cub = _cube_half(h, n)
+    if cfg.renormalized:  # P0(u^2) = |h_0|^2 + 2 sum_{k>0} |h_k|^2
+        cub -= 3.0 * (2.0 * np.vdot(h, h).real - abs(h[0]) ** 2) * h
+    return -cfg.sign * d * cub
 
 
 def cubic_coefficients(u: FourierField, dealias: bool = True) -> FourierField:
-    """Fourier coefficients of u^3, truncated back to [-K, K].
-
-    With dealias=True the grid holds at least 4K+1 points, so the pointwise
-    cube is the exact Galerkin truncation of the analytic product (a cubic of
-    degree K has modes up to 3K; 4K+1 >= 3K + K + 1 leaves no wraparound in
-    the retained band).
-    """
-    n, idx = _grid_plan(u.max_mode, dealias)
-    spec = np.zeros(n, dtype=np.complex128)
-    spec[idx] = u.coeffs
-    vals = scipy.fft.ifft(spec) * n
-    back = scipy.fft.fft(vals * vals * vals) / n
-    return FourierField(back[idx], copy=False)
+    """Coefficients of u^3 on [-K, K] for a real u (ValueError otherwise)."""
+    u.require_real()  # the half-spectrum kernel has no room for a complex field
+    n = _kernel_plan(u.max_mode, dealias)[0]
+    return FourierField(_mirror(_cube_half(u.coeffs[u.max_mode:], n)), copy=False)
 
 
 def rhs_split(u: FourierField, dealias: bool = True) -> tuple[FourierField, FourierField]:
@@ -130,6 +152,7 @@ def rhs_split(u: FourierField, dealias: bool = True) -> tuple[FourierField, Four
     mode; A is everything else (the nonresonant triples). The split is the
     starting point of every cancellation test: B's pairing against u is
     purely imaginary, and A's phases rotate at the cubic resonance rate.
+    u must be real (ValueError otherwise).
     """
     cub = cubic_coefficients(u, dealias)
     d = deriv_multiplier(u.modes)
@@ -139,48 +162,33 @@ def rhs_split(u: FourierField, dealias: bool = True) -> tuple[FourierField, Four
     return FourierField(a, copy=False), FourierField(b, copy=False)
 
 
-def _nonlinear(coeffs: np.ndarray, cfg: ModelConfig, n: int, idx: np.ndarray,
-               d: np.ndarray) -> np.ndarray:
-    spec = np.zeros(n, dtype=np.complex128)
-    spec[idx] = coeffs
-    vals = scipy.fft.ifft(spec) * n
-    cub = (scipy.fft.fft(vals * vals * vals) / n)[idx]
-    if cfg.renormalized:
-        cub = cub - 3.0 * np.sum(np.abs(coeffs) ** 2) * coeffs
-    return -cfg.sign * d * cub
-
-
 def rhs(u: FourierField, config: ModelConfig) -> FourierField:
-    """Full tendency u_t = -u_xxx - sign * d/dx(u^3 [- 3 P0(u^2) u])."""
-    n, idx = _grid_plan(config.max_mode, config.dealias)
-    d = deriv_multiplier(u.modes)
-    lin = -(d ** 3) * u.coeffs
-    return FourierField(lin + _nonlinear(u.coeffs, config, n, idx, d), copy=False)
+    """Full tendency u_t = -u_xxx - sign * d/dx(u^3 [- 3 P0(u^2) u]) of a real u."""
+    u.require_real()
+    d = _kernel_plan(config.max_mode, config.dealias)[1]
+    h = u.coeffs[u.max_mode:]
+    return FourierField(_mirror(-(d ** 3) * h + _transport(h, config)), copy=False)
 
 
 @lru_cache(maxsize=32)
-def _step_plan(max_mode: int, dt: float, dealias: bool):
-    n, idx = _grid_plan(max_mode, dealias)
-    ks = np.arange(-max_mode, max_mode + 1)
-    d = deriv_multiplier(ks)
-    L = -(d ** 3)             # dispersion symbol 8i pi^3 k^3
-    E = np.exp(0.5 * dt * L)  # |E| = 1: the factor is a pure phase
-    return n, idx, d, E, E * E
+def _step_plan(max_mode: int, dt: float):
+    # |E| = 1: the dispersion symbol -(2 pi i k)^3 = 8i pi^3 k^3 is a phase
+    E = np.exp(0.5 * dt * -(deriv_multiplier(np.arange(max_mode + 1)) ** 3))
+    return E, E * E
 
 
 def _ifrk4_coeffs(c: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    n, idx, d, E, E2 = _step_plan(cfg.max_mode, cfg.dt, cfg.dealias)
-    dt = cfg.dt
-
-    def N(x):
-        return _nonlinear(x, cfg, n, idx, d)
-
-    k1 = N(c)
-    k2 = N(E * (c + 0.5 * dt * k1))
-    k3 = N(E * c + 0.5 * dt * k2)
-    k4 = N(E2 * c + dt * E * k3)
-    out = E2 * c + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
-    return _resymmetrize(out, c, cfg.max_mode)
+    # all four stages on modes 0..K; mirrored once, with the mean pinned
+    E, E2 = _step_plan(cfg.max_mode, cfg.dt)
+    K, dt = cfg.max_mode, cfg.dt
+    h = c[K:]
+    k1 = _transport(h, cfg)
+    k2 = _transport(E * (h + 0.5 * dt * k1), cfg)
+    k3 = _transport(E * h + 0.5 * dt * k2, cfg)
+    k4 = _transport(E2 * h + dt * E * k3, cfg)
+    out = _mirror(E2 * h + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4))
+    out[K] = c[K]
+    return out
 
 
 def _resymmetrize(out: np.ndarray, c: np.ndarray, max_mode: int) -> np.ndarray:
@@ -379,13 +387,6 @@ def step(state: SimulationState, config: ModelConfig) -> SimulationState:
     return SimulationState(state.t + config.dt, nxt, alpha)
 
 
-def _n_steps(config: ModelConfig) -> int:
-    n = round(config.t_final / config.dt)
-    if abs(n * config.dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
-        raise ValueError("t_final must be an integer multiple of dt")
-    return n
-
-
 def simulate(u0: FourierField, config: ModelConfig,
              sample_every: int | None = None) -> SimulationResult:
     """Run from t=0 to t_final. sample_every=m keeps every m-th state
@@ -396,15 +397,13 @@ def simulate(u0: FourierField, config: ModelConfig,
     if sample_every is not None and sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     state = SimulationState(0.0, u0.copy())
-    n = _n_steps(config)
+    n = config.n_steps
     snaps = [SimulationState(state.t, state.field.copy(), state.alpha_accum)]
     for i in range(1, n + 1):
         state = step(state, config)
-        if sample_every is not None and (i % sample_every == 0 or i == n):
+        if i == n or (sample_every is not None and i % sample_every == 0):
             snaps.append(SimulationState(state.t, state.field.copy(),
                                          state.alpha_accum))
-    if sample_every is None and n > 0:
-        snaps.append(SimulationState(state.t, state.field.copy(), state.alpha_accum))
     times = np.array([s.t for s in snaps])
     return SimulationResult(final=state, times=times, snapshots=snaps)
 

@@ -11,12 +11,13 @@ The scalar functions work in Python integers, which are exact at any size.
 The array paths (classify_array, d1_cells, d2_triples_medcut and the tables
 built on them) work in int64 and raise ValueError for |k_i|, |k| or bound
 >= INT64_BOUND = 2^21, so that the cube of every entry fits in 63 bits.
-omega3_factored on arrays is not guarded: its product of three pair sums
-can pass 2^63 near that bound, while on the cell tables two of the three
-pair sums are small and it stays far below.
+omega3_factored on numpy integers raises ValueError wherever its product of
+three pair sums could leave int64 (possible from |k_i| ~ 2^19.5 on; on the
+cell tables two of the three pair sums are small and it stays far below).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
@@ -72,8 +73,22 @@ def omega3(k1: int, k2: int, k3: int) -> int:
 
 
 def omega3_factored(k1: int, k2: int, k3: int) -> int:
-    """-3 (k1+k2)(k1+k3)(k2+k3); equal to omega3 on every triple."""
-    return -3 * (k1 + k2) * (k1 + k3) * (k2 + k3)
+    """-3 (k1+k2)(k1+k3)(k2+k3); equal to omega3 on every triple.
+
+    Exact on Python integers. On numpy integers (arrays or scalars) it raises
+    ValueError where 3 |(k1+k2)(k1+k3)(k2+k3)| reaches 2^62, short of the
+    int64 wrap at 2^63; no triple with every |k_i| < 2^19 gets there.
+    """
+    m = (k1 + k2, k1 + k3, k2 + k3)
+    python_ints = type(m[0]) is type(m[1]) is type(m[2]) is int   # the hot scalar path
+    if not python_ints and any(isinstance(x, (np.ndarray, np.integer)) for x in m):
+        # a cheap bound from the largest pair sums, then entry by entry
+        if 3 * math.prod(int(np.abs(x).max(initial=0)) for x in m) >= 2 ** 62:
+            worst = 3.0 * np.abs(np.multiply(np.multiply(m[0], m[1], dtype=np.float64), m[2]))
+            if worst.max(initial=0.0) >= 2.0 ** 62:
+                raise ValueError("omega3_factored would overflow int64: "
+                                 "3 |(k1+k2)(k1+k3)(k2+k3)| >= 2^62")
+    return -3 * m[0] * m[1] * m[2]
 
 
 def omega5(ks) -> int:

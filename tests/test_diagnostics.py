@@ -202,6 +202,20 @@ class TestSmoothingScan:
         for k in (8, 16):
             assert rep.ratios[k][0.05] == pytest.approx(16.0, rel=0.5)
 
+    def test_streamed_equals_snapshot_path(self):
+        # the scan steps and keeps only the watched modes; the deviations are
+        # those of a run that keeps every state, bit for bit
+        kw = dict(max_mode=32, t_final=0.02, dt=1e-3, sigma=2.0, seed=0)
+        rep = smoothing_scan(eps_list=[0.05, 0.1], watch_modes=[8, 16, 8, 31], **kw)
+        base = decaying_profile(32, 1.0, 2.0, 0)
+        for eps in (0.05, 0.1):
+            cfg = ModelConfig(max_mode=32, dt=1e-3, t_final=0.02)
+            snaps = simulate(eps * base, cfg, sample_every=1).snapshots
+            assert len(snaps) == 21
+            for k in (8, 16, 31):
+                col = np.array([abs(s.field.mode(k)) ** 2 for s in snaps])
+                assert rep.sup_deviation[eps][k] == float(np.max(np.abs(col - col[0])))
+
 
 class TestEnergyDriftScan:
     def test_below_threshold_is_pure_quadratic(self):
@@ -461,6 +475,25 @@ class TestCli:
         rc = main([command, "--out", str(tmp_path), *FAST_SIM[:6], *args])
         assert rc == 3
         assert "must be a finite number" in capsys.readouterr().err
+
+    # a value of the wrong type is a config error that names its key
+    @pytest.mark.parametrize("command,override,key", [
+        ("smoothing", "eps_list=5", "eps_list"),
+        ("smoothing", "watch_modes=7", "watch_modes"),
+        ("smoothing", "watch_modes=[8, \"x\"]", "watch_modes"),
+        ("energy-drift", "k_watch=abc", "k_watch"),
+        ("energy-drift", "sample_every=[5]", "sample_every"),
+        ("simulate", "sample_every=often", "sample_every"),
+        ("identities", "seed=abc", "seed"),
+        ("identities", "quick=no", "quick"),
+        ("simulate", "model.max_mode=2.5", "model.max_mode"),
+        ("smoothing", "model.max_mode=40.5", "model.max_mode"),
+    ])
+    def test_exit_3_on_wrong_type(self, tmp_path, capsys, command, override, key):
+        rc = main([command, "--out", str(tmp_path), "--override", override])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
 
     @pytest.mark.parametrize("command", ["simulate", "norms", "energy-drift"])
     def test_exit_3_on_sample_every_below_one(self, tmp_path, capsys, command):

@@ -1,9 +1,11 @@
 """Solver tests: config validation and the integrator registry, the exact
 Galerkin cubic, tendency algebra, conservation and fixed points, local step
-order, the exact-phase step against direct triple sums, snapshot
-bookkeeping, blow-up reporting, and the gauge maps."""
+order, the half-spectrum IFRK4 step against a full-spectrum reference, the
+exact-phase step against direct triple sums, snapshot bookkeeping, blow-up
+reporting, and the gauge maps."""
 import numpy as np
 import pytest
+import scipy.fft
 
 from remkdv.diagnostics import decaying_profile, single_mode_profile
 from remkdv.evolve import (
@@ -19,7 +21,8 @@ from remkdv.evolve import (
     simulate,
     step,
 )
-from remkdv.evolve import _exact_phase_coeffs, _inverse_resonance_cube
+from remkdv.evolve import (_cube_half, _exact_phase_coeffs, _ifrk4_coeffs,
+                           _inverse_resonance_cube, _kernel_plan)
 from remkdv.fields import FourierField, deriv_multiplier
 
 
@@ -74,9 +77,50 @@ class TestModelConfig:
             cfg.dt = 2e-3
 
 
+def _not_real(K):
+    c = np.zeros(2 * K + 1, dtype=np.complex128)
+    c[K + 1] = 1.0  # no conjugate partner
+    return FourierField(c)
+
+
+def _wrapped_cube(c, n):
+    """O(K^3) triple convolution of the centered coefficients c on an n-point
+    grid: every k1 + k2 + k3 congruent to k mod n lands on mode k."""
+    K = c.size // 2
+    ks = np.arange(-K, K + 1)
+    out = np.zeros_like(c)
+    for i, k1 in enumerate(ks):
+        for j, k2 in enumerate(ks):
+            s = (k1 + k2 + ks - ks[:, None]) % n == 0   # [k, k3]
+            out += c[i] * c[j] * (s @ c)
+    return out
+
+
 class TestCubic:
+    # with dealias the real grid is 18 points at K = 4 (even) and 25 at K = 6
+    # (odd, test_matches_triple_convolution); without, 2K+1 and aliased
+    @pytest.mark.parametrize("K, dealias, n", [(4, True, 18), (4, False, 9),
+                                               (6, False, 13)])
+    def test_plan_kernel_matches_triple_convolution(self, K, dealias, n):
+        assert _kernel_plan(K, dealias)[0] == n
+        u = _random_real(K, seed=K, scale=1.0)
+        want = _wrapped_cube(u.coeffs, n)
+        got = cubic_coefficients(u, dealias=dealias).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("extra", [0, 1, 7])
+    def test_half_kernel_on_any_grid_length(self, extra):
+        # odd 4K+1, even 4K+2 and odd 4K+8, all alias-free
+        K = 5
+        n = 4 * K + 1 + extra
+        u = _random_real(K, seed=extra, scale=1.0)
+        want = _wrapped_cube(u.coeffs, n)
+        got = _cube_half(u.coeffs[K:], n)
+        assert np.max(np.abs(got - want[K:])) <= 1e-13 * np.max(np.abs(want))
+
     def test_matches_triple_convolution(self):
         K = 6
+        assert _kernel_plan(K, True)[0] == 25   # an odd real grid
         u = _random_real(K, seed=3, scale=1.0)
         got = cubic_coefficients(u)
         ks = np.arange(-K, K + 1)
@@ -111,6 +155,13 @@ class TestCubic:
     def test_real_in_real_out(self):
         u = _random_real(12, seed=5, scale=1.0)
         cubic_coefficients(u).require_real()
+
+    @pytest.mark.parametrize("fn", [
+        cubic_coefficients, rhs_split, lambda u: rhs(u, _cfg(max_mode=8)),
+    ], ids=["cubic_coefficients", "rhs_split", "rhs"])
+    def test_rejects_non_real_field(self, fn):
+        with pytest.raises(ValueError, match="Hermitian"):
+            fn(_not_real(8))
 
 
 class TestRhsSplit:
@@ -229,6 +280,71 @@ class TestStep:
         last = info.value.last_good
         assert np.all(np.isfinite(last.field.coeffs))
         assert last.t < 10.0
+
+
+def _c2c_ifrk4_step(c, cfg):
+    """Reference IFRK4 step on the full spectrum: complex FFTs of the whole
+    padded grid for each stage, then averaging with the reflected conjugate
+    and pinning the mean."""
+    K, dt = cfg.max_mode, cfg.dt
+    n = scipy.fft.next_fast_len(4 * K + 1) if cfg.dealias else 2 * K + 1
+    idx = np.arange(-K, K + 1) % n
+    d = deriv_multiplier(np.arange(-K, K + 1))
+    E = np.exp(0.5 * dt * -(d ** 3))
+
+    def N(x):
+        spec = np.zeros(n, dtype=np.complex128)
+        spec[idx] = x
+        vals = scipy.fft.ifft(spec) * n
+        cub = (scipy.fft.fft(vals * vals * vals) / n)[idx]
+        if cfg.renormalized:
+            cub = cub - 3.0 * np.sum(np.abs(x) ** 2) * x
+        return -cfg.sign * d * cub
+
+    k1 = N(c)
+    k2 = N(E * (c + 0.5 * dt * k1))
+    k3 = N(E * c + 0.5 * dt * k2)
+    k4 = N(E * E * c + dt * E * k3)
+    out = E * E * c + (dt / 6.0) * (E * E * k1 + 2.0 * E * (k2 + k3) + k4)
+    out = 0.5 * (out + np.conj(out[::-1]))
+    out[K] = c[K]
+    return out
+
+
+class TestHalfSpectrumStep:
+    @pytest.mark.parametrize("K, dt, eps, sigma", [
+        (128, 1e-4, 0.1, 2.0),     # the smoothing scan's shape
+        (2048, 2e-4, 0.05, 1.0),   # criterion 9's shape
+    ])
+    def test_matches_full_spectrum_reference(self, K, dt, eps, sigma):
+        cfg = ModelConfig(max_mode=K, dt=dt, t_final=dt)
+        got = want = decaying_profile(K, eps, sigma, seed=0).coeffs
+        for i in range(50):
+            got, want = _ifrk4_coeffs(got, cfg), _c2c_ifrk4_step(want, cfg)
+            if i in (0, 49):   # one step, and 50 chained steps
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), i
+
+    @pytest.mark.parametrize("renormalized", [True, False])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_reference_on_every_model(self, renormalized, dealias, sign):
+        K = 24
+        cfg = _cfg(max_mode=K, dt=1e-4, sign=sign, renormalized=renormalized,
+                   dealias=dealias)
+        c = _random_real(K, seed=3, scale=0.1).coeffs
+        want = _c2c_ifrk4_step(c, cfg)
+        assert np.max(np.abs(_ifrk4_coeffs(c, cfg) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_output_hermitian_bitwise_and_mean_pinned(self):
+        K = 64
+        c = _random_real(K, seed=14, scale=0.3).coeffs.copy()
+        c[K] = 0.125
+        cfg = _cfg(max_mode=K, dt=1e-3)
+        out = _ifrk4_coeffs(c, cfg)
+        assert np.array_equal(out[:K], np.conj(out[:K:-1]))
+        assert out[K] == c[K]
+        nxt = step(SimulationState(0.0, FourierField(c)), cfg).field
+        assert nxt.hermitian_defect() == 0.0 and nxt.mode(0) == 0.125
 
 
 def _triples(K, k, first=None):

@@ -216,6 +216,24 @@ class TestInt64Guard:
         with pytest.raises(ValueError, match="below"):
             call(self.B)
 
+    @pytest.mark.parametrize("first", [np.array([INT64_BOUND - 1]),
+                                       np.int64(INT64_BOUND - 1)])
+    def test_omega3_factored_refuses_to_wrap(self, first):
+        # at k1 = k2 = k3 = 2^21 - 1 the int64 product of the pair sums wraps
+        # (to 316659197804568); the exact value needs 68 bits
+        k = self.B - 1
+        assert omega3_factored(k, k, k) == omega3(k, k, k) == -221360612225316814824
+        with pytest.raises(ValueError, match="overflow"):
+            omega3_factored(first, k, k)
+
+    def test_omega3_factored_exact_below_its_range(self):
+        # every |k_i| < 2^19 stays below the guard, including the extremes
+        k = 2 ** 19 - 1
+        ks = np.array([k, -k, k, 3, 0], dtype=np.int64)
+        got = omega3_factored(ks, ks[::-1].copy(), np.full(5, k, dtype=np.int64))
+        want = [omega3(int(a), int(b), k) for a, b in zip(ks, ks[::-1])]
+        assert got.tolist() == want
+
     def test_accepts_just_below(self):
         B = self.B - 1
         assert classify_array(B, -B, B)[1] == D_CODES[classify(B, -B, B).d_class]
