@@ -9,6 +9,13 @@ itself). Each correction divides by the cubic resonance function, scaled by
 produces (2*pi)^3 k Omega/Omega from the free flow, so the (2*pi)^2 is exactly
 what makes the leading cancellation hold with unit coupling constants.
 
+e32 is one short convolution. A median-cut D2 cell has two entries a, b with
+|a|, |b| < c = ceil(|k|^THETA2) and a third k - s, s = a + b != 0; its three
+slot orders carry one product and Omega3 = -3 s (k-a)(k-b). With f_a = u^(a)/(k-a),
+  e32 = |k| k 3 Re( u^(-k) sum_{s != 0, |k-s| <= K} u^(k-s) (f*f)(s) / (-3 s) ) / (2pi)^2.
+This needs 3c <= |k|, which the constant cuts make true at every corrected mode;
+resonance.d2_triples_medcut lists the same cells and is the tests' oracle.
+
 The difference energy replaces the quartic density by its two-solution
 polarization and is summed over dyadic blocks with an N^{2s'} ladder.
 """
@@ -19,10 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FourierField, phi_dyadic, sobolev_norm
-from .resonance import (d1_cells, d1_small_sums, d1_table, d2_table, omega3_factored,
-                        pair_sums)
+from .resonance import d1_cells, d1_small_sums, d1_table, omega3_factored, pair_sums
 
 __all__ = [
+    "THETA1",
+    "THETA2",
+    "K_THRESHOLD",
     "EnergyConfig",
     "EnergyReport",
     "energy_mode",
@@ -33,24 +42,24 @@ __all__ = [
 
 FOUR_PI_SQ = (2.0 * np.pi) ** 2
 
+THETA1 = 7.0 / 12.0   # dyadic cut M < |k|**THETA1 in e31
+THETA2 = 2.0 / 3.0    # median cut k_med < |k|**THETA2 in e32
+K_THRESHOLD = 2 ** 9  # corrections vanish at or below this mode
+
 
 @dataclass(frozen=True)
 class EnergyConfig:
     alpha: float = 1.0
     beta: float = 1.0
     gamma: float = 1.0
-    theta1: float = 7.0 / 12.0   # dyadic cut M < k**theta1 in e31
-    theta2: float = 2.0 / 3.0    # median cut k_med < k**theta2 in e32
     ll_ratio: float = 2.0 ** -6  # |Omega_outer| <= ll_ratio * |Omega_inner| in e5
-    k_threshold: int = 2 ** 9    # corrections vanish at or below this mode
 
     def __post_init__(self):
-        if not (0.0 < self.theta1 < 1.0 and 0.0 < self.theta2 < 1.0):
-            raise ValueError("theta1 and theta2 must lie in (0, 1)")
-        if self.ll_ratio <= 0:
+        if not all(np.isfinite([self.alpha, self.beta, self.gamma])):
+            raise ValueError("alpha, beta and gamma must be finite")
+        # written so that NaN fails too: a NaN ratio would silently empty e5
+        if not self.ll_ratio > 0:
             raise ValueError("ll_ratio must be positive")
-        if self.k_threshold < 1:
-            raise ValueError("k_threshold must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -63,28 +72,30 @@ class EnergyReport:
     total: float
 
 
-def _quartic_sum(u: FourierField, k: int, tri: np.ndarray, om: np.ndarray) -> float:
-    """Re sum 1/((2pi)^2 Omega3) u^(k1) u^(k2) u^(k3) u^(-k) over the rows."""
-    if tri.shape[0] == 0:
-        return 0.0
-    prod = u.gather(tri[:, 0]) * u.gather(tri[:, 1]) * u.gather(tri[:, 2])
-    return float(np.real(np.sum(prod / (FOUR_PI_SQ * om)) * u.mode(-k)))
-
-
-def _e31(u: FourierField, k: int, cfg: EnergyConfig) -> float:
+def _e31(u: FourierField, k: int) -> float:
     tri, om = d1_table(k, u.max_mode)
     if tri.shape[0] == 0:
         return 0.0
     m_min = np.min(pair_sums(*tri.T), axis=0)
-    keep = 2 ** np.floor(np.log2(m_min)) < abs(k) ** cfg.theta1
+    keep = 2 ** np.floor(np.log2(m_min)) < abs(k) ** THETA1
+    tri, om = tri[keep], om[keep]
+    prod = u.gather(tri[:, 0]) * u.gather(tri[:, 1]) * u.gather(tri[:, 2])
     # |k| k, not k^2: the cell sum is odd under k -> -k while the quadratic
     # drift it cancels is even, so the prefactor must carry sign(k)
-    return abs(k) * k * _quartic_sum(u, k, tri[keep], om[keep])
+    return abs(k) * k * float(np.real(np.sum(prod / (FOUR_PI_SQ * om)) * u.mode(-k)))
 
 
-def _e32(u: FourierField, k: int, cfg: EnergyConfig) -> float:
-    tri, om = d2_table(k, u.max_mode, abs(k) ** cfg.theta2)
-    return abs(k) * k * _quartic_sum(u, k, tri, om)
+def _e32(u: FourierField, k: int) -> float:
+    c = int(np.ceil(abs(k) ** THETA2))
+    a = np.arange(-c + 1, c)
+    f = u.gather(a) / (k - a)
+    ff = np.convolve(f, f)            # (f*f)(s) at s = -2c+2 .. 2c-2
+    s = np.arange(-2 * c + 2, 2 * c - 1)
+    s, ff = s[s != 0], ff[s != 0]
+    # three slot orders per cell, each over Omega3 = -3 s (k-a)(k-b); gather
+    # zeroes the third entries beyond the truncation
+    cells = -np.sum(u.gather(k - s) * ff / s)
+    return abs(k) * k * float(np.real(cells * u.mode(-k))) / FOUR_PI_SQ
 
 
 def _e5(u: FourierField, k: int, cfg: EnergyConfig) -> float:
@@ -93,33 +104,29 @@ def _e5(u: FourierField, k: int, cfg: EnergyConfig) -> float:
         return 0.0
     quad = np.column_stack([outer, np.full(outer.shape[0], -k, dtype=np.int64)])
     coeffs = u.gather(quad)
-    total = 0.0
-    for r in range(outer.shape[0]):
-        for i in range(4):
-            ki = int(quad[r, i])
-            inner, om_in = d1_table(ki, u.max_mode)
-            if inner.shape[0] == 0:
-                continue
-            # drop pairs whose combined resonance vanishes exactly: those are
-            # genuinely resonant and admit no antiderivative (reachable only
-            # for ll_ratio >= 1; the default cut already excludes them)
-            keep = (np.abs(om_out[r]) <= cfg.ll_ratio * np.abs(om_in)) \
-                & (om_out[r] + om_in != 0)
-            if not np.any(keep):
-                continue
-            om5 = om_out[r] + om_in[keep]
-            prod_in = (u.gather(inner[keep, 0]) * u.gather(inner[keep, 1])
-                       * u.gather(inner[keep, 2]))
-            others = np.prod(np.delete(coeffs[r], i))
-            total += ki * np.real(others * np.sum(prod_in / (om_out[r].astype(np.float64)
-                                                             * om5)))
-    return abs(k) * k * total / FOUR_PI_SQ ** 2
+    # others[r, i]: product of the coefficients of row r other than slot i
+    others = np.prod(np.where(np.eye(4, dtype=bool), 1, coeffs[:, None, :]), axis=2).ravel()
+    # the inner cells of every (row, slot) in one array, tagged by slot
+    tables = [d1_table(int(ki), u.max_mode) for ki in quad.ravel()]
+    slot = np.repeat(np.arange(quad.size), [t.triples.shape[0] for t in tables])
+    inner = np.concatenate([t.triples for t in tables])
+    om_in = np.concatenate([t.omega3 for t in tables])
+    om_o = om_out[slot // 4]
+    # drop pairs whose combined resonance vanishes exactly: those are
+    # genuinely resonant and admit no antiderivative (reachable only for
+    # ll_ratio >= 1; the default cut already excludes them)
+    keep = (np.abs(om_o) <= cfg.ll_ratio * np.abs(om_in)) & (om_o + om_in != 0)
+    slot, inner, om_in, om_o = slot[keep], inner[keep], om_in[keep], om_o[keep]
+    prod_in = u.gather(inner[:, 0]) * u.gather(inner[:, 1]) * u.gather(inner[:, 2])
+    terms = quad.ravel()[slot] * np.real(others[slot] * prod_in
+                                         / (om_o.astype(np.float64) * (om_o + om_in)))
+    return abs(k) * k * float(np.sum(terms)) / FOUR_PI_SQ ** 2
 
 
 def energy_mode(u: FourierField, k: int, config: EnergyConfig | None = None) -> EnergyReport:
     """Modified energy of mode k: quadratic density plus weighted corrections.
 
-    Corrections are defined to activate only for |k| above config.k_threshold,
+    Corrections are defined to activate only for |k| above K_THRESHOLD,
     where the resonance denominators they divide by are uniformly large; below
     it the report is exactly (|k|/2)|u^(k)|^2.
     """
@@ -129,10 +136,10 @@ def energy_mode(u: FourierField, k: int, config: EnergyConfig | None = None) -> 
     if abs(k) > u.max_mode:
         raise ValueError("k exceeds the field truncation")
     quad = 0.5 * abs(k) * abs(u.mode(k)) ** 2
-    if abs(k) <= cfg.k_threshold:
+    if abs(k) <= K_THRESHOLD:
         return EnergyReport(k, quad, 0.0, 0.0, 0.0, quad)
-    e31 = _e31(u, k, cfg)
-    e32 = _e32(u, k, cfg)
+    e31 = _e31(u, k)
+    e32 = _e32(u, k)
     e5 = _e5(u, k, cfg)
     total = quad + cfg.alpha * e31 + cfg.beta * e32 + cfg.gamma * e5
     return EnergyReport(k, quad, e31, e32, e5, total)

@@ -60,6 +60,8 @@ class ModelConfig:
     integrator: str = "ifrk4"
 
     def __post_init__(self):
+        if isinstance(self.max_mode, bool) or not isinstance(self.max_mode, (int, np.integer)):
+            raise ValueError("max_mode must be an integer")
         if self.max_mode < 1:
             raise ValueError("max_mode must be at least 1")
         if self.dt <= 0:

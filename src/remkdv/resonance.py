@@ -3,17 +3,18 @@
 Everything here is arithmetic on lattice triples (k1, k2, k3): the cubic
 resonance functions, the pair-sum magnitudes m1, m2, m3, the A1/A2/A3
 classification, the D / D1 / D2 split of nonresonant triples, bounded
-enumerators, and the cached, read-only cell tables (triples with their exact
-Omega3) that the energy functionals sum over. Other modules take cells, pair
-sums, the A-cell tie-break and Omega3 from here rather than re-deriving them.
+enumerators, and the cached, read-only D1 cell tables (triples with exact
+Omega3) that the energy functionals sum over; energy sums the D2 cells as a
+convolution, and the D2 enumerators here are its test oracle. Other modules
+take cells, pair sums, the A-cell tie-break and Omega3 from here.
 
 The scalar functions work in Python integers, which are exact at any size.
-The array paths (classify_array, d1_cells, d2_triples_medcut and the tables
+The array paths (classify_array, d1_cells, d2_triples_medcut and the table
 built on them) work in int64 and raise ValueError for |k_i|, |k| or bound
 >= INT64_BOUND = 2^21, so that the cube of every entry fits in 63 bits.
 omega3_factored on numpy integers raises ValueError wherever its product of
 three pair sums could leave int64 (possible from |k_i| ~ 2^19.5 on; on the
-cell tables two of the three pair sums are small and it stays far below).
+D1 tables two of the three pair sums are small and it stays far below).
 """
 from __future__ import annotations
 
@@ -47,7 +48,6 @@ __all__ = [
     "d2_triples_medcut",
     "CellTable",
     "d1_table",
-    "d2_table",
 ]
 
 # D1 cut: m_med <= MED_RATIO * |k1+k2+k3|, with the constant frozen at 2^-9 so
@@ -239,8 +239,8 @@ def enumerate_D2(k: int, bound: int,
                  ) -> Iterator[tuple[int, int, int]]:
     """Triples of D2(k) with |k_i| <= bound, optionally filtered by a predicate.
 
-    Full lattice walk; fine for test scales. The energy code uses the
-    vectorized median-cut specialization d2_triples_medcut instead.
+    Full lattice walk; fine for test scales. The reference enumerator, of which
+    d2_triples_medcut is the vectorized median-cut specialization.
     """
     for t in enumerate_gamma3(k, bound):
         if classify(*t).d_class != "D2":
@@ -290,6 +290,7 @@ def d1_triples(k: int, bound: int) -> np.ndarray:
 def d2_triples_medcut(k: int, bound: int, med_cut: float) -> np.ndarray:
     """D2(k) triples with median(|k1|,|k2|,|k3|) < med_cut, |k_i| <= bound.
 
+    The cells of e32, listed as the tests' oracle for its convolution sum.
     Vectorized: a median below med_cut forces exactly two entries a, b below
     it (three is impossible once 3*med_cut <= |k|, which the caller's cuts
     satisfy). The third entry k - a - b is then the unique largest, so the
@@ -330,21 +331,12 @@ class CellTable(NamedTuple):
     omega3: np.ndarray
 
 
-def _frozen_table(tri: np.ndarray) -> CellTable:
+@lru_cache(maxsize=1024)
+def d1_table(k: int, bound: int) -> CellTable:
+    """Cached, read-only D1(k) cells; small (at most 192 rows at |k| <= 2048)."""
+    tri = d1_triples(k, bound)
     table = CellTable(tri, omega3_factored(*tri.T))
     for arr in table:
         arr.flags.writeable = False
     return table
 
-
-@lru_cache(maxsize=1024)
-def d1_table(k: int, bound: int) -> CellTable:
-    """Cached, read-only D1(k) cells; small (at most 192 rows at |k| <= 2048)."""
-    return _frozen_table(d1_triples(k, bound))
-
-
-@lru_cache(maxsize=8)
-def d2_table(k: int, bound: int, med_cut: float) -> CellTable:
-    """Cached, read-only median-cut D2(k) cells. These run to 10^5 rows
-    (123k at k = 1024, bound 2048), so few are kept."""
-    return _frozen_table(d2_triples_medcut(k, bound, med_cut))

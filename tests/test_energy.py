@@ -1,8 +1,17 @@
+import json
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from remkdv import resonance
+from remkdv.diagnostics import decaying_profile
 from remkdv.energy import (
     FOUR_PI_SQ,
+    K_THRESHOLD,
+    THETA1,
+    THETA2,
     EnergyConfig,
     EnergyReport,
     coercivity_margin,
@@ -12,8 +21,10 @@ from remkdv.energy import (
     energy_mode,
 )
 from remkdv.fields import FourierField, phi_dyadic, sobolev_norm
-from remkdv.resonance import MED_RATIO, d1_table, d1_triples, d2_table, omega3
+from remkdv.resonance import (INT64_BOUND, MED_RATIO, d1_table, d1_triples,
+                              d2_triples_medcut, omega3)
 
+GOLDEN = Path(__file__).parent / "golden"
 K_BIG = 2048
 K_MODE = 1024
 
@@ -68,11 +79,16 @@ class TestEnergyConfig:
     def test_defaults_valid(self):
         cfg = EnergyConfig()
         assert cfg.alpha == cfg.beta == cfg.gamma == 1.0
-        assert cfg.k_threshold == 512
+        assert [f.name for f in fields(cfg)] == ["alpha", "beta", "gamma", "ll_ratio"]
+        assert K_THRESHOLD == 512
 
+    # the ids keep the numbering of the cases that remain after the theta and
+    # k_threshold fields became module constants
     @pytest.mark.parametrize("kw", [
-        {"theta1": 0.0}, {"theta1": 1.0}, {"theta2": -0.1}, {"theta2": 1.5},
-        {"ll_ratio": 0.0}, {"ll_ratio": -1.0}, {"k_threshold": 0},
+        pytest.param({"alpha": float("nan")}, id="kw0"),
+        pytest.param({"ll_ratio": float("nan")}, id="kw1"),
+        pytest.param({"ll_ratio": 0.0}, id="kw4"),
+        pytest.param({"ll_ratio": -1.0}, id="kw5"),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -113,14 +129,28 @@ class TestEnergyMode:
         assert rep.total == pytest.approx(
             rep.quadratic + 2.0 * rep.e31 + 0.5 * rep.e32, rel=1e-12)
 
-    def test_repeat_call_builds_no_cell_table(self):
+    def test_repeat_call_builds_no_cell_table(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("energy_mode enumerated D2 cells")
+
+        monkeypatch.setattr(resonance, "d2_triples_medcut", no_enumeration)
+        monkeypatch.setattr(resonance, "enumerate_D2", no_enumeration)
         u = _random_real(K_BIG, seed=6, scale=1e-3)
         first = energy_mode(u, K_MODE)
-        d1_before, d2_before = d1_table.cache_info(), d2_table.cache_info()
+        d1_before = d1_table.cache_info()
         assert energy_mode(u, K_MODE) == first
-        assert d2_table.cache_info().misses == d2_before.misses
-        assert d2_table.cache_info().hits == d2_before.hits + 1
         assert d1_table.cache_info().misses == d1_before.misses
+
+    @pytest.mark.parametrize("eps", [0.05, 0.025])
+    def test_initial_energy_matches_golden(self, eps):
+        # the criterion-9 datum's record, written by tests/golden/regenerate.py
+        runs = json.loads((GOLDEN / "energy_drift.json").read_text())["resolved_runs"]
+        run = next(r for r in runs if r["config"]["eps"] == eps)
+        cfg = run["config"]
+        u0 = decaying_profile(cfg["max_mode"], eps, cfg["sigma"], seed=cfg["seed"])
+        rep = energy_mode(u0, cfg["k_watch"])
+        for key, want in run["initial"].items():
+            assert getattr(rep, key) == pytest.approx(want, rel=1e-12, abs=0.0), key
 
     def test_e5_dormant_at_default_cut(self):
         # at k = 2^10 both resonance factors live on comparable cells, so the
@@ -136,7 +166,7 @@ class TestCorrectionOracles:
         cfg = EnergyConfig()
         d1 = (m[:, 0] >= 1) & (m[:, 1] <= MED_RATIO * K_MODE)
         shadow = 2.0 ** np.floor(np.log2(np.where(d1, m[:, 0], 1)))
-        keep = d1 & (shadow < K_MODE ** cfg.theta1)
+        keep = d1 & (shadow < K_MODE ** THETA1)
         want = K_MODE ** 2 * _cell_sum(u, K_MODE, rows[keep])
         got = energy_mode(u, K_MODE, cfg).e31
         assert got == pytest.approx(want, rel=1e-12)
@@ -147,10 +177,28 @@ class TestCorrectionOracles:
         cfg = EnergyConfig()
         med = np.sort(np.abs(rows), axis=1)[:, 1]
         d2 = (m[:, 0] >= 1) & (m[:, 1] > MED_RATIO * K_MODE)
-        keep = d2 & (med < K_MODE ** cfg.theta2)
+        keep = d2 & (med < K_MODE ** THETA2)
         want = K_MODE ** 2 * _cell_sum(u, K_MODE, rows[keep])
         got = energy_mode(u, K_MODE, cfg).e32
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("K,k", [
+        (2048, -1024),   # negative output mode
+        (2048, 513),     # first corrected mode
+        (2048, 2048),    # |k - s| <= K cuts the third entry
+        (1024, 700),
+    ])
+    def test_e32_matches_medcut_cells(self, K, k):
+        u = _random_real(K, seed=10)
+        rows = d2_triples_medcut(k, K, abs(k) ** THETA2)
+        want = abs(k) * k * _cell_sum(u, k, rows)
+        assert energy_mode(u, k).e32 == pytest.approx(want, rel=1e-12)
+
+    def test_e32_factorization_precondition(self):
+        # the convolution counts each median-cut cell once only while
+        # 3 ceil(|k|^THETA2) <= |k|; pin it for every corrected mode
+        ks = np.arange(K_THRESHOLD + 1, INT64_BOUND)
+        assert np.all(3 * np.ceil(ks ** THETA2) <= ks)
 
     def test_e5_matches_plain_loop(self):
         # inner cells come from d1_triples (itself scan-verified in the
@@ -213,10 +261,9 @@ class TestDriftCancellation:
     def test_e31_cancels_its_cells(self, lattice_rows):
         rows, m = lattice_rows
         u = _random_real(K_BIG, seed=11)
-        cfg = EnergyConfig()
         d1 = (m[:, 0] >= 1) & (m[:, 1] <= MED_RATIO * K_MODE)
         shadow = 2.0 ** np.floor(np.log2(np.where(d1, m[:, 0], 1)))
-        keep = d1 & (shadow < K_MODE ** cfg.theta1)
+        keep = d1 & (shadow < K_MODE ** THETA1)
         self._fd_vs_cells(u, K_MODE, lattice_rows[0][keep], "e31")
 
     def test_e32_cancels_its_cells(self, lattice_rows):
@@ -224,7 +271,7 @@ class TestDriftCancellation:
         u = _random_real(K_BIG, seed=12)
         med = np.sort(np.abs(rows), axis=1)[:, 1]
         d2 = (m[:, 0] >= 1) & (m[:, 1] > MED_RATIO * K_MODE)
-        keep = d2 & (med < K_MODE ** EnergyConfig().theta2)
+        keep = d2 & (med < K_MODE ** THETA2)
         self._fd_vs_cells(u, K_MODE, rows[keep], "e32")
 
 

@@ -49,6 +49,9 @@ class TestModelConfig:
     @pytest.mark.parametrize("bad", [
         dict(max_mode=0),
         dict(max_mode=-4),
+        dict(max_mode=2.0),
+        dict(max_mode=2.5),
+        dict(max_mode=True),
         dict(dt=0.0),
         dict(dt=-1e-3),
         dict(t_final=-0.1),

@@ -14,7 +14,6 @@ from remkdv.resonance import (
     d1_cells,
     d1_table,
     d1_triples,
-    d2_table,
     d2_triples_medcut,
     dyadic_shadow,
     enumerate_D1,
@@ -347,17 +346,14 @@ class TestCells:
                     assert keep == inside
 
     def test_tables_hold_triples_and_exact_omega3(self):
-        cut = 700 ** (2 / 3)
-        for want, table in [(d1_triples(1300, 2048), d1_table(1300, 2048)),
-                            (d2_triples_medcut(700, 1024, cut), d2_table(700, 1024, cut))]:
-            assert np.array_equal(table.triples, want)
-            assert table.omega3.tolist() == [omega3(*map(int, r)) for r in want]
+        want, table = d1_triples(1300, 2048), d1_table(1300, 2048)
+        assert np.array_equal(table.triples, want)
+        assert table.omega3.tolist() == [omega3(*map(int, r)) for r in want]
 
     def test_cached_tables_are_read_only(self):
-        for table in (d1_table(1300, 2048), d2_table(700, 1024, 700 ** (2 / 3))):
-            for arr in table:
-                with pytest.raises(ValueError):
-                    arr[0] = 0
+        for arr in d1_table(1300, 2048):
+            with pytest.raises(ValueError):
+                arr[0] = 0
         assert d1_table(1300, 2048) is d1_table(1300, 2048)
 
 
