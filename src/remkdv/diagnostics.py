@@ -341,6 +341,9 @@ def smoothing_scan(max_mode: int, t_final: float, dt: float, sigma: float,
     interaction paired against the mode itself), so doubling eps should
     multiply it by ~16; the report's ratios make that scaling inspectable.
     The run keeps |u^(k)|^2 of the watched modes at every step, no states.
+    The amplitudes run one after another in eps_list order, one `step` per
+    field and time step; the first run that blows up raises BlowUpError with
+    its last finite state, at its own time.
     """
     report = SmoothingReport(list(eps_list), list(watch_modes))
     base = decaying_profile(max_mode, 1.0, sigma, seed)

@@ -116,27 +116,77 @@ def _kernel_plan(max_mode: int, dealias: bool):
     return n, deriv_multiplier(np.arange(max_mode + 1))
 
 
+def _pocketfft():
+    """scipy.fft's own pocketfft extension, if this scipy has it in the form
+    checked here, else None.
+
+    The cubic calls its r2c/c2r directly: the same transforms, bit for bit,
+    without scipy.fft's per-call Python layer (backend dispatch, argument
+    conversion, zero padding), which at K = 256 costs about as much as the
+    transforms themselves. The module is private, so it is probed once on a
+    small input against the public functions; on any mismatch or error the
+    cubic uses scipy.fft.irfft/rfft instead."""
+    try:
+        from scipy.fft._pocketfft import pypocketfft as pf
+        x = np.array([0.5, -2.0, 1.25, 3.0, -0.75])
+        h = scipy.fft.rfft(x, norm="forward")
+        if (np.array_equal(pf.r2c(x, (-1,), True, 2, None, 1), h)
+                and np.array_equal(pf.c2r(h, (-1,), 5, False, 0, None, 1),
+                                   scipy.fft.irfft(h, 5, norm="forward"))):
+            return pf
+    except Exception:
+        pass
+    return None
+
+
+_PF = _pocketfft()
+
+
+# The IFRK4 kernel below acts on the last axis: h is (..., K+1) and c is
+# (..., 2K+1), so one irfft/rfft pair per stage steps a stack of independent
+# fields, each row bit for bit as if it were stepped alone.
+
 def _cube_half(h: np.ndarray, n: int) -> np.ndarray:
     """Modes 0..K of u^3, u real with modes 0..K = h, on n grid points. With
     n >= 4K+1 the pointwise cube is the exact Galerkin truncation (u^3 has
     modes up to 3K, and 4K+1 >= 3K + K + 1 leaves no wraparound in the
     retained band); n = 2K+1 aliases."""
-    vals = scipy.fft.irfft(h, n, norm="forward")
+    m = h.shape[-1]
+    if _PF is None:
+        vals = scipy.fft.irfft(h, n, norm="forward")
+    else:  # what irfft(h, n, norm="forward") does after its argument checks
+        pad = np.zeros(h.shape[:-1] + (n // 2 + 1,), complex)
+        pad[..., :m] = h
+        vals = _PF.c2r(pad, (-1,), n, False, 0, None, 1)
     vals *= vals * vals
-    return scipy.fft.rfft(vals, norm="forward")[:h.size]
+    if _PF is None:
+        return scipy.fft.rfft(vals, norm="forward")[..., :m]
+    return _PF.r2c(vals, (-1,), True, 2, None, 1)[..., :m]
 
 
 def _mirror(h: np.ndarray) -> np.ndarray:
     """The centered 2K+1 coefficients of the real field with modes 0..K = h."""
-    return np.concatenate((np.conj(h[:0:-1]), h))
+    return np.concatenate((np.conj(h[..., :0:-1]), h), axis=-1)
+
+
+def _mass_half(h: np.ndarray):
+    """P0(u^2) = |h_0|^2 + 2 sum_{k>0} |h_k|^2 of each row, shaped to
+    broadcast against h. Each row goes through np.vdot, as a single field
+    does, so that a stacked row matches its single-field step bit for bit
+    (einsum's reduction rounds differently)."""
+    if h.ndim == 1:
+        return 2.0 * np.vdot(h, h).real - abs(h[0]) ** 2
+    rows = h.reshape(-1, h.shape[-1])
+    p0 = [2.0 * np.vdot(r, r).real - abs(r[0]) ** 2 for r in rows]
+    return np.array(p0).reshape(h.shape[:-1] + (1,))
 
 
 def _transport(h: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Modes 0..K of -sign d/dx(u^3 [- 3 P0(u^2) u]), u real with modes h."""
     n, d = _kernel_plan(cfg.max_mode, cfg.dealias)
     cub = _cube_half(h, n)
-    if cfg.renormalized:  # P0(u^2) = |h_0|^2 + 2 sum_{k>0} |h_k|^2
-        cub -= 3.0 * (2.0 * np.vdot(h, h).real - abs(h[0]) ** 2) * h
+    if cfg.renormalized:
+        cub -= 3.0 * _mass_half(h) * h
     return -cfg.sign * d * cub
 
 
@@ -183,13 +233,13 @@ def _ifrk4_coeffs(c: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     # all four stages on modes 0..K; mirrored once, with the mean pinned
     E, E2 = _step_plan(cfg.max_mode, cfg.dt)
     K, dt = cfg.max_mode, cfg.dt
-    h = c[K:]
+    h = c[..., K:]
     k1 = _transport(h, cfg)
     k2 = _transport(E * (h + 0.5 * dt * k1), cfg)
     k3 = _transport(E * h + 0.5 * dt * k2, cfg)
     k4 = _transport(E2 * h + dt * E * k3, cfg)
     out = _mirror(E2 * h + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4))
-    out[K] = c[K]
+    out[..., K] = c[..., K]
     return out
 
 
@@ -381,7 +431,9 @@ def step(state: SimulationState, config: ModelConfig) -> SimulationState:
     if state.field.max_mode != config.max_mode:
         raise ValueError("state and config max_mode differ")
     mass_old = state.field.mass()
-    c = INTEGRATORS[config.integrator.lower()](state.field.coeffs, config)
+    # the finite check below is the contract, not numpy's overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = INTEGRATORS[config.integrator.lower()](state.field.coeffs, config)
     if not np.all(np.isfinite(c)):
         raise BlowUpError(f"state became non-finite at t={state.t:.6g}", state)
     nxt = FourierField(c, copy=False)

@@ -19,7 +19,6 @@ D1 tables two of the three pair sums are small and it stays far below).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -125,9 +124,10 @@ def dyadic_shadow(m: int) -> int:
     return 1 << (m.bit_length() - 1)
 
 
-@dataclass(frozen=True)
-class TripleClass:
-    """Full classification record for one lattice triple."""
+class TripleClass(NamedTuple):
+    """Full classification record for one lattice triple. A named tuple:
+    immutable and cheap to build, which matters to callers that classify
+    millions of triples one at a time."""
 
     triple: tuple[int, int, int]
     k: int
@@ -154,8 +154,7 @@ def classify(k1: int, k2: int, k3: int) -> TripleClass:
     k1, k2, k3 = int(k1), int(k2), int(k3)
     k = k1 + k2 + k3
     m1, m2, m3 = pair_sums(k1, k2, k3)
-    srt = sorted((m1, m2, m3))
-    m_min, m_med = srt[0], srt[1]
+    m_min, m_med, _ = sorted((m1, m2, m3))
     if m1 == m_min:
         a_class = 1
     elif m2 == m_min:
@@ -169,7 +168,7 @@ def classify(k1: int, k2: int, k3: int) -> TripleClass:
     else:
         d_class = "D2"
     return TripleClass((k1, k2, k3), k, m1, m2, m3, m_min, m_med,
-                       omega3(k1, k2, k3), a_class, d_class)
+                       omega3_factored(k1, k2, k3), a_class, d_class)
 
 
 def a_cell(j: int, m1, m2, m3) -> np.ndarray:

@@ -2,6 +2,7 @@
 their bundled suites, the scan reports, the norms report, and the
 command-line wrapper (exit codes, outputs, determinism)."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from remkdv.diagnostics import (
     smoothing_scan,
     suite_partition,
 )
-from remkdv.evolve import ModelConfig, simulate
+from remkdv.evolve import BlowUpError, ModelConfig, SimulationState, simulate, step
 from remkdv.fields import FourierField, phi_dyadic, sobolev_norm
 
 
@@ -216,6 +217,50 @@ class TestSmoothingScan:
                 col = np.array([abs(s.field.mode(k)) ** 2 for s in snaps])
                 assert rep.sup_deviation[eps][k] == float(np.max(np.abs(col - col[0])))
 
+    def test_edge_cases_keep_their_values(self):
+        # the values of separate one-amplitude runs at K = 32: a mode beyond
+        # K and the pinned mean read 0, -k reads as k, and repeated
+        # amplitudes and modes repeat their entries
+        rep = smoothing_scan(max_mode=32, t_final=0.02, dt=1e-3, sigma=2.0, seed=0,
+                             eps_list=[0.05, 0.1, 0.05],
+                             watch_modes=[8, -8, 0, 40, 8, 31])
+        assert rep.eps_list == [0.05, 0.1, 0.05]
+        assert rep.watch_modes == [8, -8, 0, 40, 8, 31]
+        assert rep.sup_deviation == {
+            0.05: {8: 6.591085008577294e-10, -8: 6.591085008577294e-10, 0: 0.0,
+                   40: 0.0, 31: 2.2058783854880618e-11},
+            0.1: {8: 1.0548962960061122e-08, -8: 1.0548962960061122e-08, 0: 0.0,
+                  40: 0.0, 31: 3.5497186752013436e-10},
+        }
+        assert rep.ratios == {8: {0.05: 16.00489592583505},
+                              -8: {0.05: 16.00489592583505}, 0: {}, 40: {},
+                              31: {0.05: 16.092086937131626}}
+        empty = smoothing_scan(max_mode=32, t_final=0.02, dt=1e-3, sigma=2.0,
+                               eps_list=[], watch_modes=[8])
+        assert empty.sup_deviation == {} and empty.ratios == {8: {}}
+
+    def test_blowup_carries_the_failing_amplitude(self):
+        # amplitudes run in eps_list order: 2.0 fails in its step from
+        # t = 0.009 and is reported, though 50.0 fails sooner (from t = 0.001)
+        kw = dict(max_mode=16, t_final=0.05, dt=1e-3, sigma=2.0, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no numpy overflow warning first
+            with pytest.raises(BlowUpError, match="non-finite at t=0.009$") as info:
+                smoothing_scan(eps_list=[0.05, 2.0, 50.0], watch_modes=[4, 8], **kw)
+        last = info.value.last_good
+        assert isinstance(last, SimulationState)
+        # the same run of the failing amplitude alone, one step at a time
+        state = SimulationState(0.0, 2.0 * decaying_profile(16, 1.0, 2.0, 0))
+        cfg = ModelConfig(max_mode=16, dt=1e-3, t_final=0.05)
+        with pytest.raises(BlowUpError) as alone:
+            for _ in range(cfg.n_steps):
+                state = step(state, cfg)
+        want = alone.value.last_good
+        assert last.t == want.t and abs(last.t - 0.009) < 1e-12
+        assert np.array_equal(last.field.coeffs, want.field.coeffs)
+        assert np.all(np.isfinite(last.field.coeffs))
+        assert last.alpha_accum == want.alpha_accum
+
 
 class TestEnergyDriftScan:
     def test_below_threshold_is_pure_quadratic(self):
@@ -395,6 +440,36 @@ class TestCli:
         bad = main(["smoothing", "--out", str(tmp_path / "bad"), *fast,
                     "--override", "scaling_band=[1000,2000]"])
         assert bad == 1
+
+    def test_smoothing_exit_2_on_blowup(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["smoothing", "--out", str(tmp_path),
+                       "--override", "eps_list=[0.05, 50.0]",
+                       "--override", "model.max_mode=16",
+                       "--override", "model.dt=1e-3",
+                       "--override", "model.t_final=0.05",
+                       "--override", "watch_modes=[4,8]"])
+        assert rc == 2
+        assert capsys.readouterr().err == "blow-up: state became non-finite at t=0.001\n"
+
+    def test_smoothing_repeats_rows_and_writes_empty_scan(self, tmp_path):
+        fast = ["--override", "model.max_mode=32",
+                "--override", "model.dt=1e-3",
+                "--override", "model.t_final=0.02"]
+        rc = main(["smoothing", "--out", str(tmp_path / "dup"), *fast,
+                   "--override", "eps_list=[0.05, 0.05]",
+                   "--override", "watch_modes=[8, -8, 40, 8]"])
+        assert rc == 0
+        rows = (tmp_path / "dup" / "smoothing.csv").read_text().splitlines()
+        dev = "6.591085008577294e-10"
+        assert rows == ["eps,k,sup_deviation"] + [
+            f"0.05,{k},{v}" for k, v in [(8, dev), (-8, dev), (40, "0.0"), (8, dev)]] * 2
+        rc = main(["smoothing", "--out", str(tmp_path / "none"), *fast,
+                   "--override", "eps_list=[]"])
+        assert rc == 0
+        assert (tmp_path / "none" / "smoothing.csv").read_text().splitlines() == [
+            "eps,k,sup_deviation"]
 
     def test_energy_drift_ratio_enforcement(self, tmp_path):
         fast = ["--override", "model.max_mode=64",

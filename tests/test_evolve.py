@@ -1,12 +1,16 @@
 """Solver tests: config validation and the integrator registry, the exact
-Galerkin cubic, tendency algebra, conservation and fixed points, local step
-order, the half-spectrum IFRK4 step against a full-spectrum reference, the
+Galerkin cubic and its direct pocketfft calls, tendency algebra,
+conservation and fixed points, local step order, the half-spectrum IFRK4
+step against a full-spectrum reference and on stacks of fields, the
 exact-phase step against direct triple sums, snapshot bookkeeping, blow-up
 reporting, and the gauge maps."""
+import warnings
+
 import numpy as np
 import pytest
 import scipy.fft
 
+from remkdv import evolve
 from remkdv.diagnostics import decaying_profile, single_mode_profile
 from remkdv.evolve import (
     INTEGRATORS,
@@ -120,6 +124,19 @@ class TestCubic:
         want = _wrapped_cube(u.coeffs, n)
         got = _cube_half(u.coeffs[K:], n)
         assert np.max(np.abs(got - want[K:])) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("K, dealias", [(4, True), (6, True), (6, False),
+                                            (256, True), (2048, True)])
+    def test_direct_pocketfft_equals_public_scipy_fft(self, K, dealias, monkeypatch):
+        # the cubic calls scipy's pocketfft extension without scipy.fft's
+        # Python layer; the result must be the public functions' bit for bit
+        n = _kernel_plan(K, dealias)[0]
+        h = np.array([_random_real(K, seed=s, scale=1.0).coeffs[K:] for s in (1, 2)])
+        got = [_cube_half(h, n), _cube_half(h[1], n)]
+        monkeypatch.setattr(evolve, "_PF", None)
+        want = [_cube_half(h, n), _cube_half(h[1], n)]
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
 
     def test_matches_triple_convolution(self):
         K = 6
@@ -284,6 +301,17 @@ class TestStep:
         assert np.all(np.isfinite(last.field.coeffs))
         assert last.t < 10.0
 
+    def test_blowup_is_reported_by_the_check_alone(self):
+        # the overflow inside the failing step raises no numpy warning of
+        # its own; the state it starts from is the one the error carries
+        cfg = _cfg(max_mode=16, dt=1e-3)
+        state = SimulationState(0.5, _single_mode(16, 1e100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError, match=r"non-finite at t=0\.5$") as info:
+                step(state, cfg)
+        assert info.value.last_good is state
+
 
 def _c2c_ifrk4_step(c, cfg):
     """Reference IFRK4 step on the full spectrum: complex FFTs of the whole
@@ -348,6 +376,34 @@ class TestHalfSpectrumStep:
         assert out[K] == c[K]
         nxt = step(SimulationState(0.0, FourierField(c)), cfg).field
         assert nxt.hermitian_defect() == 0.0 and nxt.mode(0) == 0.125
+
+
+class TestBatchedStep:
+    @pytest.mark.parametrize("K, dt", [(32, 1e-3), (256, 1e-4), (2048, 2e-4)])
+    def test_stack_equals_single_rows_bitwise(self, K, dt):
+        # one stack of three fields, stepped together, against the three
+        # fields stepped one at a time: equal bit for bit after 30 steps
+        cfg = ModelConfig(max_mode=K, dt=dt, t_final=dt)
+        base = decaying_profile(K, 1.0, 2.0, seed=5).coeffs
+        rows = [eps * base for eps in (0.025, 0.05, 0.1)]
+        stack = np.array(rows)
+        for _ in range(30):
+            stack = _ifrk4_coeffs(stack, cfg)
+            rows = [_ifrk4_coeffs(r, cfg) for r in rows]
+        assert stack.shape == (3, 2 * K + 1) and np.all(np.isfinite(stack))
+        for got, want in zip(stack, rows):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("renormalized", [True, False])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_stack_on_every_model(self, renormalized, dealias, sign):
+        cfg = _cfg(max_mode=24, dt=1e-4, sign=sign, renormalized=renormalized,
+                   dealias=dealias)
+        rows = [_random_real(24, seed=s, scale=0.1).coeffs for s in (1, 2)]
+        got = _ifrk4_coeffs(np.array(rows), cfg)
+        for g, r in zip(got, rows):
+            assert np.array_equal(g, _ifrk4_coeffs(r, cfg))
 
 
 def _triples(K, k, first=None):

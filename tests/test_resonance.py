@@ -160,6 +160,17 @@ class TestClassify:
         sums = pair_sums(k1, k2, k3)
         assert sorted(sums)[:2] == [c.m_min, c.m_med]
         assert c.a_class == 1 + [c.m1, c.m2, c.m3].index(c.m_min)
+        assert c.omega3 == omega3(k1, k2, k3)
+        assert c.triple == (k1, k2, k3) and c.k == k1 + k2 + k3
+
+    def test_record_is_immutable_and_exact_at_any_size(self):
+        big = 10 ** 30
+        c = classify(big, big + 1, 5 - big)    # pair sums 6, 5, 2 big + 1
+        assert type(c.omega3) is int and c.omega3 == omega3(big, big + 1, 5 - big)
+        assert (c.m_min, c.m_med, c.a_class, c.shadow) == (5, 6, 2, 4)
+        with pytest.raises(AttributeError):
+            c.k = 0
+        assert classify(np.int64(3), np.int64(-7), np.int64(11)) == classify(3, -7, 11)
 
 
 D_CODES = {"none": 0, "D1": 1, "D2": 2}
