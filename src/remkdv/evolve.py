@@ -25,6 +25,7 @@ L2 drift is a direct measure of time-stepping error.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -430,14 +431,17 @@ def step(state: SimulationState, config: ModelConfig) -> SimulationState:
     not finite."""
     if state.field.max_mode != config.max_mode:
         raise ValueError("state and config max_mode differ")
-    mass_old = state.field.mass()
-    # the finite check below is the contract, not numpy's overflow warnings
+    # the finite checks below are the contract, not numpy's overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        mass_old = state.field.mass()
         c = INTEGRATORS[config.integrator.lower()](state.field.coeffs, config)
-    if not np.all(np.isfinite(c)):
-        raise BlowUpError(f"state became non-finite at t={state.t:.6g}", state)
-    nxt = FourierField(c, copy=False)
-    alpha = state.alpha_accum + 0.5 * config.dt * (mass_old + nxt.mass())
+        if not np.all(np.isfinite(c)):
+            raise BlowUpError(f"state became non-finite at t={state.t:.6g}", state)
+        nxt = FourierField(c, copy=False)
+        alpha = state.alpha_accum + 0.5 * config.dt * (mass_old + nxt.mass())
+    # a finite state whose mass overflows would carry alpha_accum = inf
+    if not math.isfinite(alpha):
+        raise BlowUpError(f"mass became non-finite at t={state.t:.6g}", state)
     return SimulationState(state.t + config.dt, nxt, alpha)
 
 

@@ -70,7 +70,9 @@ def _triple_sum(weight_fn, f: FourierField, g: FourierField, h: FourierField,
     """Direct lattice triple sum; weight_fn(K1, K2, K3) supplies the full weight.
 
     Cost is O(K_out * K^2), vectorized over the (k1, k2) plane. Fine up to
-    K ~ 128; the paired fast path below is used where volume matters.
+    K ~ 128. A pairing with a fourth field needs no output field:
+    paired_quadrilinear sums it in O(#s * K^2) over the ~3M pair sums s of
+    the block, and the row path of verify_ibp in O(#s * K * M).
     """
     K = f.max_mode
     K_out = K if out_max_mode is None else out_max_mode
@@ -120,27 +122,24 @@ def paired_quadrilinear(eta: SymbolFn, j: int, M: int,
                         f1: FourierField, f2: FourierField, f3: FourierField,
                         f4: FourierField) -> complex:
     """integral of Pi^j_{eta,M}(f1,f2,f3) * f4 over the torus, factorized over
-    the localized pair sum s (at most ~3M values), so each call is
-    O(#s * K^2) instead of O(K^3).
+    the localized pair sum s (at most ~3M values).
+
+    For each s the symbol, the A_j mask and the inner product fill the full
+    (2K+1)^2 grid of output and inner frequencies, so a call is
+    O(#s * K^2) instead of O(K^3), for any symbol and any slot j. verify_ibp
+    and t_functional take the O(#s * K * M) row path `_a3_row_sums`; this
+    generic sum is its oracle in the tests.
     """
     if j not in (1, 2, 3):
         raise ValueError("j must be 1, 2 or 3")
     _check_shared_mode(f1, f2, f3, f4)
     fa, fb = [f for i, f in enumerate((f1, f2, f3), 1) if i != j]
-    return _paired_sums(j, M, fa, fb, [(eta, (f1, f2, f3)[j - 1], f4)])[0]
-
-
-def _paired_sums(j: int, M: int, fa: FourierField, fb: FourierField,
-                 pieces) -> list[complex]:
-    """paired_quadrilinear for pieces (eta, f_j, f4) that share the fields fa,
-    fb of the two slots other than j (in slot order). The A_j mask and the
-    inner product are built once per pair sum s for all pieces; each piece
-    sums in the order of a call of its own."""
-    K = fa.max_mode
+    fj = (f1, f2, f3)[j - 1]
+    K = f1.max_mode
     ks = np.arange(-K, K + 1)
     kk = ks[:, None]          # output frequency k
     ki = ks[None, :]          # free inner frequency
-    totals = [0.0 + 0.0j] * len(pieces)
+    total = 0.0 + 0.0j
     for s in _support_sums(int(M)):
         s = int(s)
         w_s = float(phi_dyadic(M, s))
@@ -150,10 +149,50 @@ def _paired_sums(j: int, M: int, fa: FourierField, fb: FourierField,
         k1, k2, k3 = slots
         inner = fa.coeffs[None, :] * fb.gather(s - ks)[None, :]
         mask = a_cell(j, *pair_sums(k1, k2, k3))
-        for n, (eta, fj, f4) in enumerate(pieces):
-            outer = fj.gather(ks - s) * f4.coeffs[::-1]   # f4^(-k) indexed like k
-            grid = eta.eval(k1, k2, k3) * mask * inner
-            totals[n] += w_s * np.sum(grid.sum(axis=1) * outer)
+        outer = fj.gather(ks - s) * f4.coeffs[::-1]   # f4^(-k) indexed like k
+        grid = eta.eval(k1, k2, k3) * mask * inner
+        total += w_s * np.sum(grid.sum(axis=1) * outer)
+    return complex(total)
+
+
+def _a3_row_sums(M: int, f1: FourierField, f2: FourierField,
+                 pieces) -> list[complex]:
+    """paired_quadrilinear(eta, 3, M, f1, f2, f3, f4) for each piece
+    (eta, f3, f4), by masked row sums in O(#s * K * M).
+
+    Each eta must depend on (k1, k2, k3) only through s = k1 + k2 and k3, as
+    symbol_one and the ibp_symbols do: it is read once per output row k, at
+    (0, s, k - s). With k1 = a, k2 = s - a and k3 = k - s the pair sums are
+    m1 = |k - a|, m2 = |a - (s - k)| and m3 = |s|, so off A3 a row meets only
+    the two windows |a - k| <= |s| and |a - (s - k)| <= |s|. The masked row
+    sum is the full inner sum less the off-A3 window columns. One A3 mask per
+    s, on the windows alone, serves all pieces.
+    """
+    K = f1.max_mode
+    ks = np.arange(-K, K + 1)
+    kk = ks[:, None]          # output frequency k
+    zeros = np.zeros_like(ks)
+    totals = [0.0 + 0.0j] * len(pieces)
+    for s in _support_sums(int(M)):
+        s = int(s)
+        w_s = float(phi_dyadic(M, s))
+        r = abs(s)
+        inner = f1.coeffs * f2.gather(s - ks)
+        # zero padding stands for the columns beyond +-K: inner a sits at a + K + 2r
+        padded = np.zeros(2 * K + 1 + 4 * r, dtype=np.complex128)
+        padded[2 * r:2 * r + 2 * K + 1] = inner
+        d = np.arange(-r, r + 1)
+        a = np.concatenate([kk + d, (s - kk) + d], axis=1)
+        m1 = np.abs(kk - a)
+        off = ~a_cell(3, m1, np.abs(a + kk - s), r)
+        # a column of the second window that the first one holds counts once
+        off[:, 2 * r + 1:] &= m1[:, 2 * r + 1:] > r
+        rows = inner.sum() - (padded[a + K + 2 * r] * off).sum(axis=1)
+        k3 = ks - s
+        for n, (eta, f3, f4) in enumerate(pieces):
+            outer = f3.gather(k3) * f4.coeffs[::-1]   # f4^(-k) indexed like k
+            eta_k = eta.eval(zeros, zeros + s, k3)
+            totals[n] += w_s * np.sum(eta_k * rows * outer)
     return [complex(t) for t in totals]
 
 
@@ -177,7 +216,7 @@ def t_functional(M: int, N: int, f1: FourierField, f2: FourierField,
     for f in (f1, f2, g):
         f.require_real()
     _check_shared_mode(f1, f2, g)
-    val = paired_quadrilinear(symbol_one(), 3, M, f1, f2, g, last)
+    val = _a3_row_sums(M, f1, f2, [(symbol_one(), g, last)])[0]
     return float(val.real)
 
 
@@ -278,7 +317,7 @@ def verify_ibp(M: int, N: int, f1: FourierField, f2: FourierField,
     )
     g_N = project_dyadic(g, N)
     # T and the two pieces share f1, f2 and so the mask of each pair sum
-    t_val, shift_val, boundary_val = _paired_sums(3, M, f1, f2, [
+    t_val, shift_val, boundary_val = _a3_row_sums(M, f1, f2, [
         (symbol_one(), g, _t_last(N, g)),
         (shift, _near_projection(g, N), g_N),
         (syms.eta_boundary, g_N, g_N),

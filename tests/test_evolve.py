@@ -312,6 +312,22 @@ class TestStep:
                 step(state, cfg)
         assert info.value.last_good is state
 
+    def test_mass_overflow_is_a_blowup(self):
+        # one step takes this mode to finite coefficients near 1e188, whose
+        # squares overflow: the mass check raises, with no numpy warning,
+        # before an infinite alpha_accum can reach a returned state
+        u = _single_mode(16, 100.0)
+        cfg = _cfg(max_mode=16, dt=1.0, t_final=10.0)
+        state = SimulationState(0.0, u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError, match=r"mass became non-finite at t=0$") as info:
+                step(state, cfg)
+            assert info.value.last_good is state
+            with pytest.raises(BlowUpError) as info:
+                simulate(u, cfg)
+        assert np.isfinite(info.value.last_good.alpha_accum)
+
 
 def _c2c_ifrk4_step(c, cfg):
     """Reference IFRK4 step on the full spectrum: complex FFTs of the whole

@@ -17,6 +17,7 @@ from remkdv.fields import (
 from remkdv.pseudo import (
     IBPSymbols,
     SymbolFn,
+    _a3_row_sums,
     _support_sums,
     estimate_quadrilinear_ratio,
     g_functional,
@@ -172,6 +173,48 @@ class TestPairedQuadrilinear:
             val = abs(paired_quadrilinear(symbol_one(), 3, M, f, g, f, g))
             budget = M * (f.l2_norm() ** 2) * (g.l2_norm() ** 2)
             assert val <= budget + 1e-12
+
+
+def _one_sign(eta, sign):
+    # eta restricted to pair sums s = k1 + k2 of one sign; still a function
+    # of s and k3 alone
+    return SymbolFn(lambda k1, k2, k3: eta.eval(k1, k2, k3) * (sign * (k1 + k2) > 0),
+                    eta.sup_bound, f"{eta.name}[{sign:+d}]")
+
+
+class TestA3RowSums:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("M", [1, 2, 4, 8])
+    @pytest.mark.parametrize("K", [2, 3, 4, 8, 16, 33])
+    def test_matches_grid_sum(self, K, M, sign):
+        # small K clips the windows at +-K, and rows k near s/2 hold both
+        # windows at once; exact zeros come back as roundoff of the full
+        # inner sum, so the scale is the fields' l1 norms
+        f1, f2, f3, f4 = (_random_complex(K, seed=1000 * K + 10 * M + sign + s)
+                          for s in (0, 1, 2, 3))
+        scale = np.prod([np.sum(np.abs(f.coeffs)) for f in (f1, f2, f3, f4)])
+        syms = ibp_symbols(M, 16 * M)
+        shift = SymbolFn(lambda k1, k2, k3: syms.eta_shift_out.eval(k1, k2, k3)
+                         + syms.eta_shift_diff.eval(k1, k2, k3), 2.0 + 2.0 * np.pi)
+        etas = [_one_sign(eta, sign) for eta in
+                (symbol_one(), shift, syms.eta_boundary, *syms)]
+        got = _a3_row_sums(M, f1, f2, [(eta, f3, f4) for eta in etas])
+        for eta, val in zip(etas, got):
+            want = paired_quadrilinear(eta, 3, M, f1, f2, f3, f4)
+            assert abs(val - want) <= 1e-15 * scale, eta.name
+            assert _a3_row_sums(M, f1, f2, [(eta, f3, f4)]) == [val]
+
+    @pytest.mark.parametrize("M,N", [(1, 16), (2, 32), (4, 64), (1, 1024)])
+    def test_ibp_symbols_depend_on_pair_sum_and_k3(self, M, N):
+        # the row path reads each symbol once per row, at (0, s, k - s)
+        # k1 + k2 spans the pair-sum support, k3 the blocks around N
+        small = np.arange(-4 * M, 4 * M + 1)
+        wide = np.arange(-3 * N, 3 * N + 1, max(1, N // 16))
+        k1, k2, k3, t = np.meshgrid(small, small, wide, np.arange(-3, 4), indexing="ij")
+        for sym in ibp_symbols(M, N):
+            assert np.array_equal(sym.eval(k1 + t, k2 - t, k3), sym.eval(k1, k2, k3))
+        one = symbol_one()
+        assert np.array_equal(one.eval(k1 + t, k2 - t, k3), one.eval(k1, k2, k3))
 
 
 class TestTFunctional:
