@@ -11,8 +11,9 @@ The package has six small layers:
   the integration-by-parts identity with its explicit bounded symbols;
 - energy: the corrected (modified) energy of a high mode and the dyadic
   difference energy with its coercivity check;
-- evolve: an integrating-factor RK4 pseudospectral solver with exact Galerkin
-  dealiasing and the translation gauge;
+- evolve: a pseudospectral solver with two integrators, integrating-factor
+  RK4 (IFRK4) and an exact-phase step, exact Galerkin dealiasing and the
+  translation gauge;
 - diagnostics and cli: profiles, cancellation identities, and the scans.
 """
 

@@ -2,18 +2,21 @@
 
 Subcommands: simulate, identities, smoothing, energy-drift, norms. Each takes
 --config (JSON), --out (directory), --seed, and repeated --override key=value
-with dotted paths into the config. Outputs are a manifest.json plus CSV files,
-written deterministically (seeded randomness only, stable key order, repr
-floats) so identical invocations produce identical bytes.
+with dotted paths into the config. Every value is checked against
+`DEFAULTS` before anything runs. Outputs are a manifest.json plus one CSV
+file, written deterministically (seeded randomness only, stable key order,
+repr floats) so identical invocations produce identical bytes.
 
-Exit codes: 0 success, 1 a checked identity or required band failed,
-2 runtime failure (including blow-up), 3 bad configuration or arguments.
+Exit codes (`EXIT_CODES`): 0 success, 1 a checked identity or required band
+failed, 2 runtime failure (including blow-up), 3 bad configuration or
+arguments.
 """
 from __future__ import annotations
 
 import argparse
-import copy
+import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -23,13 +26,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .diagnostics import (EnergyDriftReport, SmoothingReport, decaying_profile,
-                          energy_drift_scan, norms_report, profile_from_csv,
-                          run_identity_suites, single_mode_profile,
-                          smoothing_scan)
+from .diagnostics import (decaying_profile, energy_drift_scan, norms_report,
+                          profile_from_csv, run_identity_suites,
+                          single_mode_profile, smoothing_scan)
 from .energy import EnergyConfig
 from .evolve import (BlowUpError, ModelConfig, gauge_backward, gauge_forward,
                      simulate)
+from .fields import FourierField
 
 __all__ = ["main"]
 
@@ -84,119 +87,130 @@ DEFAULTS: dict[str, dict] = {
     },
 }
 
-
-def _deep_update(base: dict, upd: dict) -> dict:
-    for key, val in upd.items():
-        if key not in base:
-            raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(base[key], dict) and isinstance(val, dict):
-            _deep_update(base[key], val)
-        else:
-            base[key] = val
-    return base
+# The type of a key's default is its check. What a type cannot say is here:
+# the type a None default stands for when the value is not null, the rules
+# a value must also meet (by key, or by (command, key) where a command
+# differs), and the sections that become config objects.
+NULLABLE = {"profile.path": "", "scaling_band": [0.0], "require_ratio_below": 0.0}
 
 
-def _set_dotted(cfg: dict, dotted: str, raw: str) -> None:
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node = cfg
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"no config section {part!r} in {dotted!r}")
-        node = node[part]
-    if parts[-1] not in node:
-        raise ConfigError(f"unknown config key {dotted!r}")
-    node[parts[-1]] = value
+def _one_of(*choices):
+    return choices.__contains__, "one of " + ", ".join(choices)
 
 
-def _load_config(command: str, args) -> dict:
-    cfg = copy.deepcopy(DEFAULTS[command])
-    if args.config is not None:
-        with open(args.config) as fh:
-            _deep_update(cfg, json.load(fh))
-    for item in args.override:
-        if "=" not in item:
-            raise ConfigError(f"--override expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        _set_dotted(cfg, key.strip(), raw.strip())
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    _integer(cfg["seed"], "seed")
-    return cfg
+RULES = {
+    "seed": ((lambda n: n >= 0), "at least 0"),
+    "sample_every": ((lambda n: n >= 1), "at least 1"),
+    "scaling_band": ((lambda band: len(band) == 2), "[low, high]"),
+    "gauge": _one_of("none", "forward", "backward"),
+    "profile.type": _one_of("single_mode", "decaying", "file"),
+    # norms reads no profile.path, so it has no file profile
+    ("norms", "profile.type"): _one_of("single_mode", "decaying"),
+}
+SECTIONS = {"model": ModelConfig, "energy": EnergyConfig}
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
+          str: "a string", list: "a list", dict: "an object of config keys"}
 
 
-def _model_config(section: dict) -> ModelConfig:
-    _integer(section["max_mode"], "model.max_mode")
-    try:
-        return ModelConfig(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model config: {exc}") from exc
-
-
-def _sample_every(cfg: dict) -> int:
-    n = _integer(cfg["sample_every"], "sample_every")
-    if n < 1:
-        raise ConfigError(f"sample_every must be at least 1, got {n}")
-    return n
-
-
-def _energy_config(section: dict) -> EnergyConfig:
-    try:
-        return EnergyConfig(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad energy config: {exc}") from exc
-
-
-def _finite(value, name: str) -> float:
-    """A config number that must be finite (an amplitude or a decay rate)."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return x
-
-
-def _integer(value, name: str) -> int:
-    """A config integer (a seed, a mode or a count)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+def _check(command: str, value, default, key: str = ""):
+    """value checked against default, where a section may leave keys out;
+    returns the copy a run reads, with integers given for floats as floats."""
+    if default is None:
+        if value is None:
+            return None
+        default = NULLABLE[key]
+    kind = type(default)
+    if kind is float and type(value) is int:
+        with contextlib.suppress(OverflowError):  # past the float range: refused below
+            value = float(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise ConfigError(f"{key or 'the config'} must be {_KINDS[kind]}, got {value!r}")
+    if kind is list:
+        value = [_check(command, v, default[0], f"{key}[{i}]") for i, v in enumerate(value)]
+    elif kind is dict:
+        checked = {}
+        for name, val in value.items():
+            dotted = f"{key}.{name}" if key else name
+            if name not in default:
+                raise ConfigError(f"unknown config key {dotted!r}")
+            checked[name] = _check(command, val, default[name], dotted)
+        value = checked
+    rule = RULES.get((command, key)) or RULES.get(key)
+    if rule and not rule[0](value):
+        raise ConfigError(f"{key} must be {rule[1]}, got {value!r}")
     return value
 
 
-def _list(value, convert, name: str) -> list:
-    """A config list, each entry passed through convert(entry, name)."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list, got {value!r}")
-    return [convert(v, f"{name} entry") for v in value]
+def _merge(base, upd):
+    """A checked upd laid over base, section by section."""
+    if not (isinstance(base, dict) and isinstance(upd, dict)):
+        return upd
+    return {**base, **{key: _merge(base[key], val) for key, val in upd.items()}}
 
 
-def _build_profile(section: dict, max_mode: int, seed: int):
-    kind = section.get("type", "single_mode")
+def _override(item: str) -> dict:
+    """--override a.b=value as {"a": {"b": value}}; value is JSON if it parses."""
+    if "=" not in item:
+        raise ConfigError(f"--override expects key=value, got {item!r}")
+    dotted, _, raw = item.partition("=")
+    try:
+        value = json.loads(raw.strip())
+    except json.JSONDecodeError:
+        value = raw.strip()
+    for part in reversed(dotted.strip().split(".")):
+        value = {part: value}
+    return value
+
+
+def _load_config(command: str, args) -> tuple[dict, dict]:
+    """(the config as given, for the manifest; its checked copy, for the
+    run). Each layer is checked before it is merged."""
+    defaults = DEFAULTS[command]
+    layers = []
+    if args.config is not None:
+        with open(args.config) as fh:
+            layers.append(json.load(fh))
+    layers += [_override(item) for item in args.override]
+    if args.seed is not None:
+        layers.append({"seed": args.seed})
+    cfg = defaults
+    for layer in layers:
+        _check(command, layer, defaults)
+        cfg = _merge(cfg, layer)
+    run = _check(command, cfg, defaults)
+    for name, build in SECTIONS.items():
+        try:
+            if name in run:
+                run[name] = build(**run[name])
+        except ValueError as exc:
+            raise ConfigError(f"bad {name} config: {exc}") from exc
+    return cfg, run
+
+
+def _build_profile(section: dict, max_mode: int, seed: int) -> FourierField:
+    kind = section["type"]
     if kind == "single_mode":
-        return single_mode_profile(max_mode, _finite(section.get("eps", 0.1), "profile.eps"))
+        return single_mode_profile(max_mode, section["eps"])
     if kind == "decaying":
-        return decaying_profile(max_mode, _finite(section.get("eps", 0.1), "profile.eps"),
-                                _finite(section.get("sigma", 2.0), "profile.sigma"), seed)
-    if kind == "file":
-        path = section.get("path")
-        if not path:
-            raise ConfigError("profile.type=file requires profile.path")
-        prof = profile_from_csv(path)
-        if prof.max_mode > max_mode:
-            raise ConfigError("profile file exceeds model.max_mode")
-        out = np.zeros(2 * max_mode + 1, dtype=np.complex128)
-        out[max_mode - prof.max_mode: max_mode + prof.max_mode + 1] = prof.coeffs
-        from .fields import FourierField
-        return FourierField(out, copy=False)
-    raise ConfigError(f"unknown profile type {kind!r}")
+        return decaying_profile(max_mode, section["eps"], section["sigma"], seed)
+    if not section["path"]:
+        raise ConfigError("profile.type=file requires profile.path")
+    prof = profile_from_csv(section["path"])
+    if prof.max_mode > max_mode:
+        raise ConfigError("profile file exceeds model.max_mode")
+    out = np.zeros(2 * max_mode + 1, dtype=np.complex128)
+    out[max_mode - prof.max_mode: max_mode + prof.max_mode + 1] = prof.coeffs
+    return FourierField(out, copy=False)
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: dict, results: dict) -> None:
+def _write(out_dir: Path, command: str, cfg: dict, results: dict,
+           table: str, header: list, rows) -> None:
+    """The command's CSV table (floats as repr) and its manifest.json."""
+    with open(out_dir / table, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                    for row in rows)
     manifest = {
         "command": command,
         "config": cfg,
@@ -209,28 +223,15 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, results: dict) -> No
         fh.write("\n")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# Each command reads its checked config c and hands its outputs to
+# write(results, table, header, rows); it returns the exit code.
 
-
-def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
-    model = _model_config(cfg["model"])
-    u0 = _build_profile(cfg["profile"], model.max_mode, cfg["seed"])
-    res = simulate(u0, model, sample_every=_sample_every(cfg))
-    states = res.snapshots
-    if cfg["gauge"] == "forward":
-        states = [gauge_forward(s, model) for s in states]
-    elif cfg["gauge"] == "backward":
-        states = [gauge_backward(s, model) for s in states]
-    elif cfg["gauge"] != "none":
-        raise ConfigError("gauge must be one of none, forward, backward")
-    with open(out_dir / "snapshots.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "k", "re", "im"])
-        for s in states:
-            for k in s.field.modes:
-                c = s.field.mode(int(k))
-                w.writerow([_fmt(s.t), int(k), _fmt(c.real), _fmt(c.imag)])
+def _cmd_simulate(c: dict, write) -> int:
+    model = c["model"]
+    u0 = _build_profile(c["profile"], model.max_mode, c["seed"])
+    res = simulate(u0, model, sample_every=c["sample_every"])
+    gauge = {"forward": gauge_forward, "backward": gauge_backward}.get(c["gauge"])
+    states = [gauge(s, model) for s in res.snapshots] if gauge else res.snapshots
     final = res.final
     results = {
         "t_final": final.t,
@@ -240,120 +241,81 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
         "alpha_accum": final.alpha_accum,
         "n_snapshots": len(states),
     }
-    _write_manifest(out_dir, "simulate", cfg, results)
+    write(results, "snapshots.csv", ["t", "k", "re", "im"],
+          ((s.t, k, z.real, z.imag) for s in states
+           for k, z in zip(s.field.modes, s.field.coeffs)))
     print(f"simulate: t={final.t:.6g} l2_drift={results['l2_drift']:.3e} "
           f"snapshots={len(states)}")
     return 0
 
 
-def _cmd_identities(cfg: dict, out_dir: Path) -> int:
-    if not isinstance(cfg["quick"], bool):
-        raise ConfigError(f"quick must be true or false, got {cfg['quick']!r}")
-    checks = run_identity_suites(seed=cfg["seed"], quick=cfg["quick"])
-    with open(out_dir / "identities.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "residual", "tol", "passed"])
-        for c in checks:
-            w.writerow([c.name, _fmt(c.residual), _fmt(c.tol), int(c.passed)])
-    ok = all(c.passed for c in checks)
-    for c in checks:
-        print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: "
-              f"residual {c.residual:.3e} (tol {c.tol:.1e})")
-    _write_manifest(out_dir, "identities", cfg, {
-        "n_checks": len(checks),
-        "n_failed": sum(not c.passed for c in checks),
-        "max_residual": max(c.residual for c in checks),
-    })
-    return 0 if ok else 1
+def _cmd_identities(c: dict, write) -> int:
+    checks = run_identity_suites(seed=c["seed"], quick=c["quick"])
+    for chk in checks:
+        print(f"{'PASS' if chk.passed else 'FAIL'}  {chk.name}: "
+              f"residual {chk.residual:.3e} (tol {chk.tol:.1e})")
+    write({"n_checks": len(checks),
+           "n_failed": sum(not chk.passed for chk in checks),
+           "max_residual": max(chk.residual for chk in checks)},
+          "identities.csv", ["name", "residual", "tol", "passed"],
+          ((chk.name, chk.residual, chk.tol, int(chk.passed)) for chk in checks))
+    return 0 if all(chk.passed for chk in checks) else 1
 
 
-def _smoothing_rows(rep: SmoothingReport):
-    for eps in rep.eps_list:
-        for k in rep.watch_modes:
-            yield eps, k, rep.sup_deviation[eps][k]
-
-
-def _cmd_smoothing(cfg: dict, out_dir: Path) -> int:
-    model = _model_config(cfg["model"])
-    band = cfg["scaling_band"]
-    if band is not None:
-        band = _list(band, _finite, "scaling_band")
-        if len(band) != 2:
-            raise ConfigError(f"scaling_band must be [low, high], got {band!r}")
+def _cmd_smoothing(c: dict, write) -> int:
+    model = c["model"]
     rep = smoothing_scan(
-        max_mode=int(model.max_mode), t_final=float(model.t_final),
-        dt=float(model.dt), sigma=_finite(cfg["profile"]["sigma"], "profile.sigma"),
-        eps_list=_list(cfg["eps_list"], _finite, "eps_list"),
-        watch_modes=_list(cfg["watch_modes"], _integer, "watch_modes"),
-        seed=cfg["seed"], sign=int(model.sign))
-    with open(out_dir / "smoothing.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["eps", "k", "sup_deviation"])
-        for eps, k, dev in _smoothing_rows(rep):
-            w.writerow([_fmt(eps), k, _fmt(dev)])
+        max_mode=model.max_mode, t_final=model.t_final, dt=model.dt,
+        sigma=c["profile"]["sigma"], eps_list=c["eps_list"],
+        watch_modes=c["watch_modes"], seed=c["seed"], sign=model.sign)
+    rows = [(eps, k, rep.sup_deviation[eps][k])
+            for eps in rep.eps_list for k in rep.watch_modes]
     ratios = {}
     for k, pairs in rep.ratios.items():
         for eps, r in pairs.items():
             print(f"smoothing: k={k} ratio({2 * eps:g}/{eps:g}) = {r:.3f} "
                   f"(quartic scaling predicts 16)")
             ratios[f"{k}:{eps!r}"] = r
-    _write_manifest(out_dir, "smoothing", cfg,
-                    {"ratios": ratios,
-                     "deviation": {f"{eps!r}:{k}": dev
-                                   for eps, k, dev in _smoothing_rows(rep)}})
-    if band is not None:
-        lo, hi = band
+    write({"ratios": ratios,
+           "deviation": {f"{eps!r}:{k}": dev for eps, k, dev in rows}},
+          "smoothing.csv", ["eps", "k", "sup_deviation"], rows)
+    if c["scaling_band"] is not None:
+        lo, hi = c["scaling_band"]
         if not all(lo <= r <= hi for r in ratios.values()):
             print(f"smoothing: ratio outside required band [{lo}, {hi}]")
             return 1
     return 0
 
 
-def _cmd_energy_drift(cfg: dict, out_dir: Path) -> int:
-    model = _model_config(cfg["model"])
-    limit = cfg["require_ratio_below"]
-    if limit is not None:
-        limit = _finite(limit, "require_ratio_below")
-    rep: EnergyDriftReport = energy_drift_scan(
-        max_mode=int(model.max_mode), k_watch=_integer(cfg["k_watch"], "k_watch"),
-        t_final=float(model.t_final), dt=float(model.dt),
-        sigma=_finite(cfg["profile"]["sigma"], "profile.sigma"),
-        eps=_finite(cfg["profile"]["eps"], "profile.eps"),
-        seed=cfg["seed"], sample_every=_sample_every(cfg),
-        sign=int(model.sign), energy_config=_energy_config(cfg["energy"]),
-        integrator=model.integrator)
-    with open(out_dir / "energy_drift.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "quadratic", "total"])
-        for t, q, tot in zip(rep.times, rep.quadratic, rep.total):
-            w.writerow([_fmt(t), _fmt(q), _fmt(tot)])
+def _cmd_energy_drift(c: dict, write) -> int:
+    model = c["model"]
+    rep = energy_drift_scan(
+        max_mode=model.max_mode, k_watch=c["k_watch"], t_final=model.t_final,
+        dt=model.dt, sigma=c["profile"]["sigma"], eps=c["profile"]["eps"],
+        seed=c["seed"], sample_every=c["sample_every"], sign=model.sign,
+        energy_config=c["energy"], integrator=model.integrator)
     print(f"energy-drift: k={rep.k} drift(quadratic)={rep.drift_quadratic:.3e} "
           f"drift(corrected)={rep.drift_total:.3e} ratio={rep.ratio:.3f}")
-    _write_manifest(out_dir, "energy-drift", cfg, {
-        "drift_quadratic": rep.drift_quadratic,
-        "drift_total": rep.drift_total,
-        "ratio": rep.ratio,
-    })
+    write({"drift_quadratic": rep.drift_quadratic,
+           "drift_total": rep.drift_total,
+           "ratio": rep.ratio},
+          "energy_drift.csv", ["t", "quadratic", "total"],
+          zip(rep.times, rep.quadratic, rep.total))
+    limit = c["require_ratio_below"]
     if limit is not None and not rep.ratio < limit:
         print(f"energy-drift: ratio {rep.ratio:.3f} not below required {limit}")
         return 1
     return 0
 
 
-def _cmd_norms(cfg: dict, out_dir: Path) -> int:
-    model = _model_config(cfg["model"])
-    u0 = _build_profile(cfg["profile"], model.max_mode, cfg["seed"])
-    s = _finite(cfg["s"], "s")
-    res = simulate(u0, model, sample_every=_sample_every(cfg))
-    rep = norms_report(res.snapshots, res.times, s=s)
-    with open(out_dir / "norms.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "value"])
-        for name, val in rep.items():
-            w.writerow([name, _fmt(val)])
+def _cmd_norms(c: dict, write) -> int:
+    model = c["model"]
+    u0 = _build_profile(c["profile"], model.max_mode, c["seed"])
+    res = simulate(u0, model, sample_every=c["sample_every"])
+    rep = norms_report(res.snapshots, res.times, s=c["s"])
     for name, val in rep.items():
         print(f"norms: {name} = {val:.6e}")
-    _write_manifest(out_dir, "norms", cfg, rep)
+    write(rep, "norms.csv", ["name", "value"], rep.items())
     return 0
 
 
@@ -364,6 +326,14 @@ COMMANDS = {
     "energy-drift": _cmd_energy_drift,
     "norms": _cmd_norms,
 }
+
+# The exit-code contract, first match wins: a blow-up before the runtime
+# errors it is one of, a JSON syntax error before the ValueError it is one of.
+EXIT_CODES = (
+    ((ConfigError, json.JSONDecodeError, OSError), 3, "config error"),
+    (BlowUpError, 2, "blow-up"),
+    ((ValueError, RuntimeError), 2, "runtime error"),
+)
 
 
 def main(argv=None) -> int:
@@ -380,22 +350,17 @@ def main(argv=None) -> int:
                        metavar="KEY=VALUE", help="dotted config override")
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.command, args)
+        cfg, checked = _load_config(args.command, args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except (json.JSONDecodeError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except BlowUpError as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+        return COMMANDS[args.command](
+            checked, functools.partial(_write, out_dir, args.command, cfg))
+    except Exception as exc:
+        for kinds, code, label in EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

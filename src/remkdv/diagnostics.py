@@ -55,7 +55,7 @@ class IdentityCheck:
 
 
 def _check(name: str, residual: float, tol: float) -> IdentityCheck:
-    return IdentityCheck(name, float(residual), tol, bool(residual <= tol))
+    return IdentityCheck(name, float(residual), float(tol), bool(residual <= tol))
 
 
 # ---------------------------------------------------------------- profiles

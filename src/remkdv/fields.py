@@ -99,7 +99,7 @@ class FourierField:
         the truncation are zero."""
         ks = np.asarray(ks)
         K = self.max_mode
-        return np.where(np.abs(ks) <= K, self.coeffs[np.clip(ks, -K, K) + K], 0)
+        return np.where(np.abs(ks) <= K, self.coeffs.take(ks + K, mode="clip"), 0)
 
     def hermitian_defect(self) -> float:
         """max_k |u_hat(-k) - conj(u_hat(k))|; zero exactly for real fields."""
@@ -237,7 +237,7 @@ def phi_dyadic(N: int, k) -> np.ndarray:
     if k.dtype.kind == "i" and N <= PHI_TABLE_MAX_N:
         table = _phi_table(N)
         L = table.size // 2
-        return table[np.clip(k, -L, L) + L]
+        return table.take(k + L, mode="clip")
     if N == 0:
         return chi(2.0 * np.asarray(k, dtype=np.float64))
     return phi(np.asarray(k, dtype=np.float64) / N)

@@ -2,13 +2,16 @@
 their bundled suites, the scan reports, the norms report, and the
 command-line wrapper (exit codes, outputs, determinism)."""
 import json
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remkdv import diagnostics, resonance
-from remkdv.cli import main
+from remkdv.cli import DEFAULTS, main
 from remkdv.diagnostics import (
     decaying_profile,
     diff_resonant_pairing,
@@ -407,6 +410,26 @@ class TestCli:
         rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path)])
         assert rc == 3
 
+    # a config file that is not an object of config keys, or whose section
+    # is not one, is refused before it is merged
+    @pytest.mark.parametrize("content,key", [
+        ([1, 2], "the config"),
+        ({"model": 5}, "model"),
+    ])
+    def test_exit_3_on_config_file_of_wrong_shape(self, tmp_path, capsys, content, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(content))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
+    def test_bad_gauge_refused_before_stepping(self, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulate called with a bad gauge")
+        monkeypatch.setattr("remkdv.cli.simulate", no_run)
+        rc = main(["simulate", "--out", str(tmp_path), "--override", "gauge=sideways"])
+        assert rc == 3
+
     def test_exit_3_on_unknown_command(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
@@ -563,6 +586,14 @@ class TestCli:
         ("identities", "quick=no", "quick"),
         ("simulate", "model.max_mode=2.5", "model.max_mode"),
         ("smoothing", "model.max_mode=40.5", "model.max_mode"),
+        ("simulate", "model.integrator=5", "model.integrator"),
+        ("simulate", "model=5", "model"),
+        ("smoothing", "profile=3", "profile"),
+        ("simulate", "profile.eps=true", "profile.eps"),
+        ("simulate", "model.sign=1.0", "model.sign"),
+        ("energy-drift", "model.sign=true", "model.sign"),
+        ("norms", "profile.type=file", "profile.type"),  # norms has no profile.path
+        ("identities", "seed=-1", "seed"),
     ])
     def test_exit_3_on_wrong_type(self, tmp_path, capsys, command, override, key):
         rc = main([command, "--out", str(tmp_path), "--override", override])
@@ -576,3 +607,44 @@ class TestCli:
                    "--override", "sample_every=0"])
         assert rc == 3
         assert "sample_every" in capsys.readouterr().err
+
+
+# The 0/1/2/3 exit contract over drawn configs: any override set, keys from
+# DEFAULTS and values from a fixed pool of JSON literals, ends in a code (or
+# argparse's SystemExit(3)), never a traceback, and the same code twice. The
+# run shape is pinned after the draws, so no draw can ask for a long run.
+def _config_keys(section: dict, prefix: str = ""):
+    for name, value in section.items():
+        yield prefix + name
+        if isinstance(value, dict):
+            yield from _config_keys(value, f"{prefix}{name}.")
+
+
+LITERALS = ['"none"', '"forward"', '"decaying"', '"file"', '"exact-phase"',
+            '"x"', '""', '"."', "true", "false", "null", "[]", "[1, 2]", '[0.5, "x"]',
+            "{}", "NaN", "0", "1", "-1", "2", "0.5", "-2.5", "2.5"]
+PINNED = {"simulate": FAST_SIM, "norms": FAST_SIM, "energy-drift": FAST_SIM,
+          "smoothing": FAST_SIM[:6], "identities": ["--override", "quick=true"]}
+
+
+def _exit_code(argv: list[str]) -> int:
+    try:
+        with tempfile.TemporaryDirectory() as out, np.errstate(all="ignore"):
+            return main([*argv, "--out", out])
+    except SystemExit as exc:
+        assert exc.code == 3
+        return 3
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_config_ends_in_a_documented_exit_code(data):
+    command = data.draw(st.sampled_from(sorted(DEFAULTS)))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(list(_config_keys(DEFAULTS[command]))),
+                                         st.sampled_from(LITERALS)),
+                               min_size=1, max_size=3))
+    argv = [command, *(a for key, raw in pairs for a in ("--override", f"{key}={raw}")),
+            *PINNED[command]]
+    code = _exit_code(argv)
+    assert code in (0, 1, 2, 3)
+    assert _exit_code(argv) == code
