@@ -179,11 +179,11 @@ def _load_config(command: str, args) -> tuple[dict, dict]:
         cfg = _merge(cfg, layer)
     run = _check(command, cfg, defaults)
     for name, build in SECTIONS.items():
-        try:
-            if name in run:
+        if name in run:
+            try:
                 run[name] = build(**run[name])
-        except ValueError as exc:
-            raise ConfigError(f"bad {name} config: {exc}") from exc
+            except ValueError as exc:
+                raise ConfigError(f"bad {name} config: {exc}") from exc
     return cfg, run
 
 

@@ -557,7 +557,8 @@ class TestCli:
         rc = main(["smoothing", "--out", str(tmp_path), "--override", "model.dt=-1"])
         assert rc == 3
 
-    # a non-finite amplitude or decay rate is a config error, not a blow-up
+    # a non-finite number (an amplitude, a decay rate, a step) is a config
+    # error, not a blow-up
     @pytest.mark.parametrize("command,overrides", [
         ("simulate", ["profile.eps=NaN"]),
         ("simulate", ["profile.type=decaying", "profile.sigma=Infinity"]),
@@ -567,6 +568,8 @@ class TestCli:
         ("energy-drift", ["profile.sigma=-Infinity"]),
         ("smoothing", ["profile.sigma=NaN"]),
         ("smoothing", ["eps_list=[0.05, NaN]"]),
+        ("simulate", ["model.dt=1e400"]),
+        ("simulate", [f"model.dt={10 ** 400}"]),  # an integer past the float range
     ])
     def test_exit_3_on_non_finite_profile(self, tmp_path, capsys, command, overrides):
         args = [a for o in overrides for a in ("--override", o)]
