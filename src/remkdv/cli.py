@@ -101,6 +101,7 @@ def _one_of(*choices):
 RULES = {
     "seed": ((lambda n: n >= 0), "at least 0"),
     "sample_every": ((lambda n: n >= 1), "at least 1"),
+    "k_watch": ((lambda k: k != 0), "a nonzero mode"),
     "scaling_band": ((lambda band: len(band) == 2), "[low, high]"),
     "gauge": _one_of("none", "forward", "backward"),
     "profile.type": _one_of("single_mode", "decaying", "file"),
@@ -184,6 +185,10 @@ def _load_config(command: str, args) -> tuple[dict, dict]:
                 run[name] = build(**run[name])
             except ValueError as exc:
                 raise ConfigError(f"bad {name} config: {exc}") from exc
+    # the one rule across keys: the watched mode lies inside the truncation
+    if "k_watch" in run and abs(run["k_watch"]) > run["model"].max_mode:
+        raise ConfigError(f"k_watch must be at most model.max_mode = "
+                          f"{run['model'].max_mode} in size, got {run['k_watch']}")
     return cfg, run
 
 

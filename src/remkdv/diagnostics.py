@@ -17,8 +17,8 @@ from .evolve import ModelConfig, SimulationState, rhs_split, simulate, step
 from .fields import (FourierField, phi_dyadic, riesz_potential, sobolev_norm,
                      space_time_norm, xsb_norm_diagnostic)
 from .pseudo import verify_ibp
-from .resonance import (classify_array, omega3, omega3_factored, omega5, omega7,
-                        pair_sums)
+from .resonance import (INT64_BOUND, classify_array, omega3, omega3_factored,
+                        omega5, omega7, pair_sums)
 from .resonance import classify  # noqa: F401  (bench/test_bench.py traces it here)
 
 __all__ = [
@@ -152,18 +152,18 @@ def quartic_skew_sum(u: FourierField, cutoff: int) -> tuple[complex, float]:
     c = int(cutoff)
     ks = np.arange(-c, c + 1)
     uk = u.gather(ks)
-    pair = {}
-    for s in range(-2 * c, 2 * c + 1):
-        b = s - ks
-        prod = uk * np.where(np.abs(b) <= c, u.gather(b), 0)
-        pair[s] = (np.sum(prod), np.sum(np.abs(prod)))
-    total = 0.0 + 0.0j
-    scale = 0.0
-    for s in range(-2 * c, 2 * c + 1):
-        if s == 0:
-            continue
-        total += pair[-s][0] * pair[s][0] / s
-        scale += pair[-s][1] * pair[s][1] / abs(s)
+    # pair sums P(s) = sum_{k12+k13=s} u^(k12) u^(k13) over the window, s = -2c..2c,
+    # and their absolute counterparts (P(-s) is the reversed array): bincount
+    # over the outer product, because np.convolve calls BLAS, whose first use
+    # pages in about 0.13 MB per dtype that nothing else in the suites touches
+    prod = np.multiply.outer(uk, uk).ravel()
+    at = np.add.outer(ks, ks).ravel() + 2 * c
+    pair = np.bincount(at, prod.real) + 1j * np.bincount(at, prod.imag)
+    apair = np.bincount(at, np.abs(prod))
+    s = np.arange(-2 * c, 2 * c + 1)
+    nz = s != 0
+    total = np.sum((pair[::-1] * pair)[nz] / s[nz])
+    scale = np.sum((apair[::-1] * apair)[nz] / np.abs(s[nz]))
     return complex(total), float(scale)
 
 
@@ -197,27 +197,34 @@ def sextic_skew_sum(u: FourierField, k: int, cutoff: int) -> tuple[float, float]
 
 def suite_resonance(seed: int = 0, exhaustive_bound: int = 24,
                     n_random: int = 2000, wide: int = 2 ** 20) -> list[IdentityCheck]:
-    """Exact-integer checks of the resonance functions and their splittings."""
-    rng = np.random.default_rng(seed)
-    worst3 = 0
+    """Exact-integer checks of the resonance functions and their splittings.
+
+    The exhaustive box runs on int64 arrays, one k1 slab at a time (raising
+    ValueError where its cubes could leave int64); the wide draws, whose
+    cubes do, are drawn in one call per kind and checked in Python ints."""
     b = exhaustive_bound
-    for k1 in range(-b, b + 1):
-        for k2 in range(-b, b + 1):
-            for k3 in range(-b, b + 1):
-                worst3 = max(worst3, abs(omega3(k1, k2, k3)
-                                         - omega3_factored(k1, k2, k3)))
-    for _ in range(n_random):
-        k1, k2, k3 = (int(rng.integers(-wide, wide + 1)) for _ in range(3))
+    if 3 * b >= INT64_BOUND:
+        raise ValueError(f"exhaustive_bound must be below {INT64_BOUND // 3}")
+    ks = np.arange(-b, b + 1, dtype=np.int64)
+    k2, k3 = np.meshgrid(ks, ks, indexing="ij")
+    worst3 = 0
+    for k1 in ks:
+        diff = omega3(k1, k2, k3) - omega3_factored(k1, k2, k3)
+        worst3 = max(worst3, int(np.abs(diff).max()))
+    rng = np.random.default_rng(seed)
+    draws = {n: rng.integers(-wide, wide + 1, size=(n_random, n)) for n in (3, 5, 7)}
+    for row in draws[3]:
+        k1, k2, k3 = row.tolist()
         worst3 = max(worst3, abs(omega3(k1, k2, k3) - omega3_factored(k1, k2, k3)))
     worst5 = 0
-    for _ in range(n_random):
-        k = [int(rng.integers(-wide, wide + 1)) for _ in range(5)]
+    for row in draws[5]:
+        k = row.tolist()
         k.append(-sum(k))
         split = omega3(k[0], k[1], k[2]) + omega3(k[3], k[4], k[5])
         worst5 = max(worst5, abs(omega5(k) - split))
     worst7 = 0
-    for _ in range(n_random):
-        k = [int(rng.integers(-wide, wide + 1)) for _ in range(7)]
+    for row in draws[7]:
+        k = row.tolist()
         k.append(-sum(k))
         split = omega5(k[:5] + [-sum(k[:5])]) + omega3(k[5], k[6], k[7])
         worst7 = max(worst7, abs(omega7(k) - split))

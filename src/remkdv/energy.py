@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FourierField, phi_dyadic, sobolev_norm
-from .resonance import d1_cells, d1_small_sums, d1_table, omega3_factored, pair_sums
+from .resonance import D1_BRANCHES, d1_cells, d1_small_sums, d1_table, pair_sums
 
 __all__ = [
     "THETA1",
@@ -152,7 +152,9 @@ def diff_energy_dyadic(u: FourierField, v: FourierField, N: int, n0: int) -> flo
       Re sum_k phi_N(k)^2 k/(2pi)^2 w^(-k) sum_{D^1(k)} (u1 u2 + u1 v2 + v1 v2) w^(k3) / Omega3
 
     over the phi_N-active modes k. The cells are walked one pair of small
-    pair sums (a, b) at a time, for all output modes at once (d1_cells)."""
+    pair sums (a, b) at a time, for all output modes at once (d1_cells): the
+    three branches permute one cell's entries k - a, k - b, a + b - k and
+    share Omega3 = -3 a b (2k - a - b), so each pair is one masked pass."""
     if u.max_mode != v.max_mode:
         raise ValueError("fields must share max_mode")
     if N < 1 or (N & (N - 1)):
@@ -170,11 +172,13 @@ def diff_energy_dyadic(u: FourierField, v: FourierField, N: int, n0: int) -> flo
     corr = 0.0
     for a in vals:
         for b in vals:
-            tri, ok = d1_cells(k, a, b, K)
-            k1, k2, k3 = tri[ok].T
-            u1, u2, v1, v2 = u.gather(k1), u.gather(k2), v.gather(k1), v.gather(k2)
-            terms = np.broadcast_to(weight, ok.shape)[ok] * (u1 * u2 + u1 * v2 + v1 * v2)
-            corr += float(np.real(np.sum(terms * w.gather(k3) / omega3_factored(k1, k2, k3))))
+            cells, ok = d1_cells(k, a, b, K)
+            cells = cells[:, ok]
+            U, V, W = u.gather(cells), v.gather(cells), w.gather(cells)
+            prod = sum((U[i] * U[j] + U[i] * V[j] + V[i] * V[j]) * W[l]
+                       for i, j, l in D1_BRANCHES)
+            om = -3 * a * b * (2 * k[ok] - a - b)
+            corr += float(np.real(np.sum(weight[ok] * prod / om)))
     return base + corr
 
 

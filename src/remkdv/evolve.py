@@ -65,10 +65,11 @@ class ModelConfig:
             raise ValueError("max_mode must be an integer")
         if self.max_mode < 1:
             raise ValueError("max_mode must be at least 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
+        # written so that NaN fails too; an infinite dt or t_final has no step count
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 <= self.t_final < math.inf:
+            raise ValueError("t_final must be nonnegative and finite")
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
         name = self.integrator.lower()

@@ -42,6 +42,7 @@ __all__ = [
     "enumerate_D1_M",
     "enumerate_D2",
     "d1_small_sums",
+    "D1_BRANCHES",
     "d1_cells",
     "d1_triples",
     "d2_triples_medcut",
@@ -254,36 +255,41 @@ def d1_small_sums(k: int) -> np.ndarray:
     return np.concatenate([np.arange(-t, 0), np.arange(1, t + 1)])
 
 
+# The slot orders of a D1 cell's entries (k - a, k - b, a + b - k): the
+# branches whose small pair sums (p1, p2), (p1, p3), (p2, p3) are (a, b).
+D1_BRANCHES = ((0, 1, 2), (0, 2, 1), (2, 0, 1))
+
+
 def d1_cells(k, a, b, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The D1 triples of output k whose two small signed pair sums are a, b.
+    """The D1 cells of output k whose two small signed pair sums are a, b.
 
     On D1 exactly two of the three pair sums p_i = k - k_i are small (all
     three sum to 2k), so a cell is fixed by which two indices carry the small
     values and by those values a, b. Broadcasts over (k, a, b) to shape S and
-    returns the triples, shape (3, *S, 3) with one leading entry per branch
-    (p1, p2), (p1, p3), (p2, p3) = (a, b), and the mask, shape (3, *S), of
-    the cells in D1(k) with |k_i| <= bound: 1 <= |a|,|b| <= floor(|k|/512).
-    The third pair sum has size ~2|k|, so the branches are disjoint. Raises
-    ValueError for |k| or bound >= INT64_BOUND.
+    returns the entries, shape (3, *S): k - a, k - b and a + b - k, and the
+    mask, shape S, of the cells in D1(k) with |k_i| <= bound:
+    1 <= |a|,|b| <= floor(|k|/512) and every entry within the bound. The
+    three branches are the slot orders D1_BRANCHES of the same entries, so
+    they share the mask and Omega3 = -3 a b (2k - a - b). The third pair sum
+    has size ~2|k|, so the branches are disjoint. Raises ValueError for |k|
+    or bound >= INT64_BOUND.
     """
     _check_int64_range(bound, k)
-    k, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in (k, a, b)))
-    c = a + b - k
-    tri = np.stack([np.stack([k - a, k - b, c], axis=-1),
-                    np.stack([k - a, c, k - b], axis=-1),
-                    np.stack([c, k - a, k - b], axis=-1)])
-    t = np.floor(MED_RATIO * np.abs(k))
-    small = (np.abs(a) >= 1) & (np.abs(a) <= t) & (np.abs(b) >= 1) & (np.abs(b) <= t)
-    return tri, small & np.all(np.abs(tri) <= bound, axis=-1)
+    k, a, b = (np.asarray(x, dtype=np.int64) for x in (k, a, b))
+    cells = np.stack(np.broadcast_arrays(k - a, k - b, a + b - k))
+    # |a| <= floor(|k|/512) is |a| <= |k|/512 for an integer a
+    small = (a != 0) & (b != 0) & (np.maximum(np.abs(a), np.abs(b)) <= MED_RATIO * np.abs(k))
+    return cells, small & (np.abs(cells).max(axis=0) <= bound)
 
 
 def d1_triples(k: int, bound: int) -> np.ndarray:
     """D1(k) with |k_i| <= bound as an (n, 3) int64 array, branch by branch
-    and, within a branch, in (a, b) lexicographic order (see d1_cells)."""
+    (D1_BRANCHES) and, within a branch, in (a, b) lexicographic order."""
     vals = d1_small_sums(k)
     a, b = np.meshgrid(vals, vals, indexing="ij")
-    tri, ok = d1_cells(k, a.ravel(), b.ravel(), bound)
-    return tri[ok]
+    cells, ok = d1_cells(k, a.ravel(), b.ravel(), bound)
+    cells = cells[:, ok].T
+    return np.concatenate([cells[:, list(order)] for order in D1_BRANCHES])
 
 
 def d2_triples_medcut(k: int, bound: int, med_cut: float) -> np.ndarray:

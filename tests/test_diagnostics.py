@@ -1,6 +1,7 @@
 """Diagnostics tests: profile builders, the cancellation identities and
 their bundled suites, the scan reports, the norms report, and the
 command-line wrapper (exit codes, outputs, determinism)."""
+import itertools
 import json
 import tempfile
 import warnings
@@ -27,6 +28,7 @@ from remkdv.diagnostics import (
     single_mode_profile,
     smoothing_scan,
     suite_partition,
+    suite_resonance,
 )
 from remkdv.evolve import BlowUpError, ModelConfig, SimulationState, simulate, step
 from remkdv.fields import FourierField, phi_dyadic, sobolev_norm
@@ -135,6 +137,23 @@ class TestSkewSums:
         value, scale = quartic_skew_sum(FourierField(c), 12)
         assert abs(value) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("cutoff", [1, 4, 6])
+    def test_quartic_matches_the_four_fold_sum(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        u = FourierField(rng.standard_normal(17) + 1j * rng.standard_normal(17))
+        assert not u.is_real()
+        r = range(-cutoff, cutoff + 1)
+        value, scale = 0j, 0.0
+        for k12, k13, k2 in itertools.product(r, r, r):
+            k3 = -(k12 + k13 + k2)
+            if abs(k3) <= cutoff and k2 + k3 != 0:
+                term = u.mode(k12) * u.mode(k13) * u.mode(k2) * u.mode(k3) / (k2 + k3)
+                value += term
+                scale += abs(term)
+        got, got_scale = quartic_skew_sum(u, cutoff)
+        assert got_scale == pytest.approx(scale, rel=1e-13)
+        assert abs(got - value) <= 1e-13 * scale
+
     @pytest.mark.parametrize("seed,k", [(0, 24), (1, 24), (2, 48)])
     def test_sextic_imaginary_part_vanishes(self, seed, k):
         u = random_real_field(64, np.random.default_rng(seed), decay=0.5)
@@ -168,6 +187,36 @@ class TestSuites:
         monkeypatch.setattr(diagnostics, "classify", counting)
         [c] = suite_partition(bound=16)
         assert c.passed and calls == []
+
+    def test_resonance_suite_catches_one_wrong_box_triple(self, monkeypatch):
+        factored = resonance.omega3_factored
+
+        def off_by_one(k1, k2, k3):
+            return factored(k1, k2, k3) + ((k1 == 5) & (k2 == -7) & (k3 == 11))
+
+        monkeypatch.setattr(diagnostics, "omega3_factored", off_by_one)
+        box, five, seven = suite_resonance(exhaustive_bound=11, n_random=50)
+        assert not box.passed and box.residual == 1
+        assert five.passed and seven.passed
+
+    def test_resonance_suite_checks_the_wide_draws_in_python_ints(self, monkeypatch):
+        # a factored form that wraps modulo 2^64, as int64 arithmetic would,
+        # is caught only if the suite's own omega3 does not wrap too
+        factored = resonance.omega3_factored
+
+        def wraps(k1, k2, k3):
+            if isinstance(k2, np.ndarray):  # a box slab: exact in int64
+                return factored(k1, k2, k3)
+            exact = -3 * (int(k1) + int(k2)) * (int(k1) + int(k3)) * (int(k2) + int(k3))
+            return (exact + 2 ** 63) % 2 ** 64 - 2 ** 63
+
+        monkeypatch.setattr(diagnostics, "omega3_factored", wraps)
+        box = suite_resonance(exhaustive_bound=4, n_random=50)[0]
+        assert not box.passed and box.residual >= 2 ** 63
+
+    def test_resonance_suite_refuses_a_box_past_int64(self):
+        with pytest.raises(ValueError, match="exhaustive_bound"):
+            suite_resonance(exhaustive_bound=resonance.INT64_BOUND // 3 + 1)
 
     def test_partition_suite_catches_a_wrong_tie_break(self, monkeypatch):
         a_cell = resonance.a_cell
@@ -603,6 +652,25 @@ class TestCli:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
+
+    # the watched mode is refused before any stepping: zero, or outside the
+    # truncation (energy_mode would refuse it only after the whole run)
+    @pytest.mark.parametrize("overrides", [
+        ["k_watch=0"],
+        ["model.max_mode=16", "model.dt=1e-3", "model.t_final=0.01"],
+        ["model.max_mode=64", "k_watch=-65"],
+    ])
+    def test_energy_drift_exit_3_on_bad_k_watch(self, tmp_path, capsys, monkeypatch,
+                                                overrides):
+        def no_run(*args, **kwargs):
+            raise AssertionError("energy_drift_scan called with a bad k_watch")
+
+        monkeypatch.setattr("remkdv.cli.energy_drift_scan", no_run)
+        args = [a for o in overrides for a in ("--override", o)]
+        rc = main(["energy-drift", "--out", str(tmp_path), *args])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: k_watch must be")
 
     @pytest.mark.parametrize("command", ["simulate", "norms", "energy-drift"])
     def test_exit_3_on_sample_every_below_one(self, tmp_path, capsys, command):

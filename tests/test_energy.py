@@ -322,7 +322,9 @@ class TestDiffEnergy:
                     s += pair * _mode(w, k3) / om
                 corr += ph * ph * float((k * s * _mode(w, -k)).real) / FOUR_PI_SQ
         assert got - base != 0.0
-        assert got - base == pytest.approx(corr, rel=1e-10)
+        # got - base keeps the rounding of base (one ulp); approx's default
+        # abs of 1e-12 would pass any error in this ~1e-11 correction
+        assert got - base == pytest.approx(corr, rel=1e-10, abs=np.spacing(base))
 
     def test_total_is_weighted_ladder(self):
         u = _random_real(128, seed=25)

@@ -62,6 +62,10 @@ class TestModelConfig:
         dict(sign=0),
         dict(sign=2),
         dict(integrator="euler"),
+        dict(dt=float("nan")),
+        dict(dt=float("inf")),
+        dict(t_final=float("nan")),
+        dict(t_final=float("inf")),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remkdv.resonance import (
+    D1_BRANCHES,
     INT64_BOUND,
     MED_RATIO,
     TripleClass,
     classify,
     classify_array,
     d1_cells,
+    d1_small_sums,
     d1_table,
     d1_triples,
     d2_triples_medcut,
@@ -198,8 +200,8 @@ class TestClassifyArray:
         k = rng.integers(2 ** 19, 2 ** 20, size=2000)
         pa, pb = (rng.integers(1, k // 512 + 1) * rng.choice([-1, 1], size=2000)
                   for _ in range(2))
-        tri, ok = d1_cells(k, pa, pb, 2 ** 20)
-        rows = np.concatenate([rows, tri[0][ok[0]]])
+        cells, ok = d1_cells(k, pa, pb, 2 ** 20)
+        rows = np.concatenate([rows, cells[:, ok].T])
         a, d = classify_array(*rows.T)
         assert (a.tolist(), d.tolist()) == _scalar_classes(rows)
         assert set(d.tolist()) == {0, 1, 2}
@@ -338,8 +340,9 @@ class TestD1Enumeration:
 class TestCells:
     def test_branches_carry_a_and_b_as_pair_sums(self):
         k, a, b = 1500, -2, 1
-        tri, ok = d1_cells(k, a, b, 2048)
-        assert tri.shape == (3, 3) and ok.all()
+        cells, ok = d1_cells(k, a, b, 2048)
+        assert cells.tolist() == [k - a, k - b, a + b - k] and ok
+        tri = np.array([cells[list(order)] for order in D1_BRANCHES])
         assert np.all(tri.sum(axis=1) == k)
         p = k - tri  # signed pair sums p_i = k - k_i
         assert [p[0, 0], p[0, 1]] == [a, b]
@@ -349,12 +352,36 @@ class TestCells:
     def test_mask_is_d1_membership(self):
         ks = np.arange(-1600, 1601, 7)
         for a, b in [(1, 1), (-3, 2), (2, 0), (4, -1)]:
-            tri, ok = d1_cells(ks, a, b, 1550)
-            for branch in range(3):
-                for row, keep in zip(tri[branch], ok[branch]):
+            cells, ok = d1_cells(ks, a, b, 1550)
+            for order in D1_BRANCHES:
+                for row, keep in zip(cells[list(order)].T, ok):
                     inside = (classify(*row).d_class == "D1"
                               and np.all(np.abs(row) <= 1550))
                     assert keep == inside
+
+    def test_entries_and_mask_reproduce_d1_triples(self):
+        # the three branches written out, in the row order of d1_triples:
+        # branch by branch, then (a, b) lexicographic
+        for k in [*range(-2048, -512), *range(513, 2049)]:
+            vals = d1_small_sums(k)
+            a, b = (x.ravel() for x in np.meshgrid(vals, vals, indexing="ij"))
+            (ka, kb, kc), ok = d1_cells(k, a, b, 2048)
+            ka, kb, kc = ka[ok], kb[ok], kc[ok]
+            want = np.concatenate([np.stack([ka, kb, kc], axis=1),
+                                   np.stack([ka, kc, kb], axis=1),
+                                   np.stack([kc, ka, kb], axis=1)])
+            assert np.array_equal(d1_triples(k, 2048), want)
+
+    def test_omega3_on_every_cell(self):
+        # every branch of a cell has Omega3 = -3 a b (2k - a - b)
+        for k in (-2048, -1537, -700, 513, 1024, 1999, 2048):
+            vals = d1_small_sums(k)
+            a, b = (x.ravel() for x in np.meshgrid(vals, vals, indexing="ij"))
+            cells, ok = d1_cells(k, a, b, 2048)
+            want = (-3 * a * b * (2 * k - a - b))[ok].tolist()
+            for order in D1_BRANCHES:
+                tri = cells[list(order)][:, ok].tolist()
+                assert [omega3(*t) for t in zip(*tri)] == want
 
     def test_tables_hold_triples_and_exact_omega3(self):
         want, table = d1_triples(1300, 2048), d1_table(1300, 2048)
