@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FourierField, phi_dyadic, sobolev_norm
-from .resonance import D1_BRANCHES, d1_cells, d1_small_sums, d1_table, pair_sums
+from .resonance import (D1_BRANCHES, d1_cells, d1_omega3, d1_small_sums, d1_table,
+                        pair_sums)
 
 __all__ = [
     "THETA1",
@@ -154,7 +155,7 @@ def diff_energy_dyadic(u: FourierField, v: FourierField, N: int, n0: int) -> flo
     over the phi_N-active modes k. The cells are walked one pair of small
     pair sums (a, b) at a time, for all output modes at once (d1_cells): the
     three branches permute one cell's entries k - a, k - b, a + b - k and
-    share Omega3 = -3 a b (2k - a - b), so each pair is one masked pass."""
+    share Omega3 (d1_omega3), so each pair is one masked pass."""
     if u.max_mode != v.max_mode:
         raise ValueError("fields must share max_mode")
     if N < 1 or (N & (N - 1)):
@@ -177,8 +178,7 @@ def diff_energy_dyadic(u: FourierField, v: FourierField, N: int, n0: int) -> flo
             U, V, W = u.gather(cells), v.gather(cells), w.gather(cells)
             prod = sum((U[i] * U[j] + U[i] * V[j] + V[i] * V[j]) * W[l]
                        for i, j, l in D1_BRANCHES)
-            om = -3 * a * b * (2 * k[ok] - a - b)
-            corr += float(np.real(np.sum(weight[ok] * prod / om)))
+            corr += float(np.real(np.sum(weight[ok] * prod / d1_omega3(k[ok], a, b))))
     return base + corr
 
 

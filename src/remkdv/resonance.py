@@ -44,6 +44,7 @@ __all__ = [
     "d1_small_sums",
     "D1_BRANCHES",
     "d1_cells",
+    "d1_omega3",
     "d1_triples",
     "d2_triples_medcut",
     "CellTable",
@@ -270,7 +271,7 @@ def d1_cells(k, a, b, bound: int) -> tuple[np.ndarray, np.ndarray]:
     mask, shape S, of the cells in D1(k) with |k_i| <= bound:
     1 <= |a|,|b| <= floor(|k|/512) and every entry within the bound. The
     three branches are the slot orders D1_BRANCHES of the same entries, so
-    they share the mask and Omega3 = -3 a b (2k - a - b). The third pair sum
+    they share the mask and Omega3 (d1_omega3). The third pair sum
     has size ~2|k|, so the branches are disjoint. Raises ValueError for |k|
     or bound >= INT64_BOUND.
     """
@@ -280,6 +281,12 @@ def d1_cells(k, a, b, bound: int) -> tuple[np.ndarray, np.ndarray]:
     # |a| <= floor(|k|/512) is |a| <= |k|/512 for an integer a
     small = (a != 0) & (b != 0) & (np.maximum(np.abs(a), np.abs(b)) <= MED_RATIO * np.abs(k))
     return cells, small & (np.abs(cells).max(axis=0) <= bound)
+
+
+def d1_omega3(k, a, b):
+    """Omega3 on every branch of the D1 cell (k, a, b) of d1_cells: the pair
+    sums of its entries are a, b and 2k - a - b, so Omega3 = -3 a b (2k - a - b)."""
+    return -3 * a * b * (2 * k - a - b)
 
 
 def d1_triples(k: int, bound: int) -> np.ndarray:

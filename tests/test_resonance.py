@@ -13,6 +13,7 @@ from remkdv.resonance import (
     classify,
     classify_array,
     d1_cells,
+    d1_omega3,
     d1_small_sums,
     d1_table,
     d1_triples,
@@ -373,12 +374,13 @@ class TestCells:
             assert np.array_equal(d1_triples(k, 2048), want)
 
     def test_omega3_on_every_cell(self):
-        # every branch of a cell has Omega3 = -3 a b (2k - a - b)
+        # every branch of a cell has Omega3 = -3 a b (2k - a - b) = d1_omega3
         for k in (-2048, -1537, -700, 513, 1024, 1999, 2048):
             vals = d1_small_sums(k)
             a, b = (x.ravel() for x in np.meshgrid(vals, vals, indexing="ij"))
             cells, ok = d1_cells(k, a, b, 2048)
             want = (-3 * a * b * (2 * k - a - b))[ok].tolist()
+            assert d1_omega3(k, a, b)[ok].tolist() == want
             for order in D1_BRANCHES:
                 tri = cells[list(order)][:, ok].tolist()
                 assert [omega3(*t) for t in zip(*tri)] == want
