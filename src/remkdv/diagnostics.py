@@ -211,18 +211,17 @@ def suite_resonance(seed: int = 0, exhaustive_bound: int = 24,
         diff = omega3(k1, k2, k3) - omega3_factored(k1, k2, k3)
         worst3 = max(worst3, int(np.abs(diff).max()))
     rng = np.random.default_rng(seed)
-    draws = {n: rng.integers(-wide, wide + 1, size=(n_random, n)) for n in (3, 5, 7)}
-    for row in draws[3]:
+    for row in rng.integers(-wide, wide + 1, size=(n_random, 3)):
         k1, k2, k3 = row.tolist()
         worst3 = max(worst3, abs(omega3(k1, k2, k3) - omega3_factored(k1, k2, k3)))
     worst5 = 0
-    for row in draws[5]:
+    for row in rng.integers(-wide, wide + 1, size=(n_random, 5)):
         k = row.tolist()
         k.append(-sum(k))
         split = omega3(k[0], k[1], k[2]) + omega3(k[3], k[4], k[5])
         worst5 = max(worst5, abs(omega5(k) - split))
     worst7 = 0
-    for row in draws[7]:
+    for row in rng.integers(-wide, wide + 1, size=(n_random, 7)):
         k = row.tolist()
         k.append(-sum(k))
         split = omega5(k[:5] + [-sum(k[:5])]) + omega3(k[5], k[6], k[7])
