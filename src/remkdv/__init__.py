@@ -25,17 +25,14 @@ from .evolve import (BlowUpError, ModelConfig, SimulationResult,
                      SimulationState, gauge_backward, gauge_forward, rhs,
                      rhs_split, simulate, step)
 from .fields import (FourierField, chi, deriv_multiplier, dyadic_blocks,
-                     evaluate, phi, phi_dyadic, project_dyadic, project_geq,
-                     project_leq, project_mode, riesz_potential, sobolev_norm,
+                     evaluate, phi, phi_dyadic, project_dyadic, project_leq,
+                     project_mode, riesz_potential, sobolev_norm,
                      space_time_norm, synthesize, xsb_norm_diagnostic)
 from .pseudo import (IBPSymbols, SymbolFn, estimate_quadrilinear_ratio,
-                     g_functional, ibp_symbols, paired_quadrilinear,
-                     pseudoproduct, pseudoproduct_restricted, t_functional,
-                     verify_ibp)
+                     ibp_symbols, paired_quadrilinear, pseudoproduct,
+                     pseudoproduct_restricted, t_functional, verify_ibp)
 from .resonance import (MED_RATIO, TripleClass, classify, dyadic_shadow,
-                        enumerate_D1, enumerate_D1_M, enumerate_D2,
-                        enumerate_gamma3, omega3, omega3_factored, omega5,
-                        omega7, pair_sums)
+                        omega3, omega3_factored, omega5, omega7, pair_sums)
 
 __all__ = [
     "__version__",
@@ -44,12 +41,11 @@ __all__ = [
     "SimulationState", "SymbolFn", "TripleClass",
     "chi", "classify", "coercivity_margin", "deriv_multiplier",
     "diff_energy_dyadic", "diff_energy_total", "dyadic_blocks",
-    "dyadic_shadow", "energy_mode", "enumerate_D1", "enumerate_D1_M",
-    "enumerate_D2", "enumerate_gamma3", "estimate_quadrilinear_ratio",
-    "evaluate", "g_functional", "gauge_backward", "gauge_forward",
+    "dyadic_shadow", "energy_mode", "estimate_quadrilinear_ratio",
+    "evaluate", "gauge_backward", "gauge_forward",
     "ibp_symbols", "omega3", "omega3_factored", "omega5", "omega7",
     "pair_sums", "paired_quadrilinear", "phi", "phi_dyadic",
-    "project_dyadic", "project_geq", "project_leq", "project_mode",
+    "project_dyadic", "project_leq", "project_mode",
     "pseudoproduct", "pseudoproduct_restricted", "rhs", "rhs_split",
     "riesz_potential", "simulate", "sobolev_norm", "space_time_norm",
     "step", "synthesize", "t_functional", "verify_ibp",

@@ -200,7 +200,11 @@ def _build_profile(section: dict, max_mode: int, seed: int) -> FourierField:
         return decaying_profile(max_mode, section["eps"], section["sigma"], seed)
     if not section["path"]:
         raise ConfigError("profile.type=file requires profile.path")
-    prof = profile_from_csv(section["path"])
+    try:
+        prof = profile_from_csv(section["path"])
+        prof.require_real()
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ConfigError(f"profile.path: {exc}") from exc
     if prof.max_mode > max_mode:
         raise ConfigError("profile file exceeds model.max_mode")
     out = np.zeros(2 * max_mode + 1, dtype=np.complex128)

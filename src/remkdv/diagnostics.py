@@ -83,14 +83,28 @@ def decaying_profile(max_mode: int, eps: float, sigma: float, seed: int = 0) -> 
 
 
 def profile_from_csv(path: str) -> FourierField:
-    """Read (k, re, im) rows; max_mode is the largest |k| present."""
+    """Read (k, re, im) rows; max_mode is the largest |k| present.
+
+    A first row whose first field is not an integer is a header; blank lines
+    are skipped. Every other row is an integer k and two finite floats, with
+    no k twice: anything else raises ValueError naming the file and the line.
+    """
     rows = {}
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lstrip("-").isdigit() is False:
+        for line, row in enumerate(csv.reader(fh), start=1):
+            if not row or (line == 1 and not row[0].strip().lstrip("-").isdigit()):
                 continue
-            k, re, im = int(row[0]), float(row[1]), float(row[2])
-            rows[k] = re + 1j * im
+            try:
+                k, re, im = row
+                k, c = int(k), float(re) + 1j * float(im)
+            except ValueError:
+                raise ValueError(f"{path}, line {line}: expected an integer k and "
+                                 f"two floats, got {row}") from None
+            if not np.isfinite(c):
+                raise ValueError(f"{path}, line {line}: non-finite coefficient of mode {k}")
+            if k in rows:
+                raise ValueError(f"{path}, line {line}: mode {k} given twice")
+            rows[k] = c
     if not rows:
         raise ValueError(f"no coefficient rows in {path}")
     K = max(abs(k) for k in rows)

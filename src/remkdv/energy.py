@@ -13,8 +13,8 @@ e32 is one short convolution. A median-cut D2 cell has two entries a, b with
 |a|, |b| < c = ceil(|k|^THETA2) and a third k - s, s = a + b != 0; its three
 slot orders carry one product and Omega3 = -3 s (k-a)(k-b). With f_a = u^(a)/(k-a),
   e32 = |k| k 3 Re( u^(-k) sum_{s != 0, |k-s| <= K} u^(k-s) (f*f)(s) / (-3 s) ) / (2pi)^2.
-This needs 3c <= |k|, which the constant cuts make true at every corrected mode;
-resonance.d2_triples_medcut lists the same cells and is the tests' oracle.
+This needs 3c <= |k|, which the constant cuts make true at every corrected mode.
+The tests check e31 and e32 against a direct scan of the lattice.
 
 The difference energy replaces the quartic density by its two-solution
 polarization and is summed over dyadic blocks with an N^{2s'} ladder.

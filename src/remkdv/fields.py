@@ -11,7 +11,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.fft
@@ -25,12 +25,9 @@ __all__ = [
     "phi",
     "phi_dyadic",
     "dyadic_blocks",
-    "lp_partition_sum",
     "project_mode",
     "project_dyadic",
     "project_leq",
-    "project_geq",
-    "bessel_potential",
     "riesz_potential",
     "sobolev_norm",
     "space_time_norm",
@@ -253,17 +250,6 @@ def dyadic_blocks(k_max: int) -> list[int]:
     return blocks
 
 
-def lp_partition_sum(k, n_max: int) -> np.ndarray:
-    """sum of phi_N(k) over blocks N in {0} U {1..n_max}; telescopes to chi(k/n_max)."""
-    k = np.asarray(k, dtype=np.float64)
-    total = phi_dyadic(0, k).astype(np.float64)
-    N = 1
-    while N <= n_max:
-        total = total + phi_dyadic(N, k)
-        N *= 2
-    return total
-
-
 def project_mode(field: FourierField, k: int) -> FourierField:
     """Keep only modes +-k (so a real field stays real)."""
     out = FourierField.zeros(field.max_mode)
@@ -285,19 +271,6 @@ def project_leq(field: FourierField, N: int) -> FourierField:
     if N <= 0:
         raise ValueError("N must be positive")
     return field.multiplied(chi(field.modes / N))
-
-
-def project_geq(field: FourierField, N: int) -> FourierField:
-    """Smooth high-pass P_{>=N}: multiplier 1 - chi(2k/N), complement of P_{<=N/2}."""
-    if N <= 0:
-        raise ValueError("N must be positive")
-    return field.multiplied(1.0 - chi(2.0 * field.modes / N))
-
-
-def bessel_potential(field: FourierField, s: float) -> FourierField:
-    """<d/dx>^s: multiplier (1 + k^2)^{s/2}."""
-    ks = field.modes.astype(np.float64)
-    return field.multiplied((1.0 + ks ** 2) ** (s / 2.0))
 
 
 def riesz_potential(field: FourierField, s: float, zero_mode_tol: float = 1e-13) -> FourierField:

@@ -14,7 +14,7 @@ opposite slot j to size M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "ibp_symbols",
     "near_projector_blocks",
     "verify_ibp",
-    "g_functional",
     "estimate_quadrilinear_ratio",
 ]
 
@@ -327,25 +326,6 @@ def verify_ibp(M: int, N: int, f1: FourierField, f2: FourierField,
     boundary_piece = float((-2j * np.pi * M * boundary_val).real)
     scale = max(abs(lhs), abs(shift_piece), abs(boundary_piece), RESIDUAL_FLOOR)
     return abs(lhs - shift_piece - boundary_piece) / scale
-
-
-def g_functional(eta: SymbolFn, j: int, M: int,
-                 trajs: Sequence[Sequence[FourierField]],
-                 times: Sequence[float]) -> complex:
-    """Time integral (composite trapezoid) of the spatial pairing
-    int Pi^j_{eta,M}(u1,u2,u3) u4 dx along four sampled trajectories."""
-    if len(trajs) != 4:
-        raise ValueError("g_functional takes exactly four trajectories")
-    times = np.asarray(times, dtype=np.float64)
-    n = times.size
-    for tr in trajs:
-        if len(tr) != n:
-            raise ValueError("trajectories must share the time grid")
-    vals = np.array([
-        paired_quadrilinear(eta, j, M, trajs[0][i], trajs[1][i], trajs[2][i], trajs[3][i])
-        for i in range(n)
-    ])
-    return complex(np.trapezoid(vals, times))
 
 
 def estimate_quadrilinear_ratio(eta: SymbolFn, j: int, M: int, trials: int, K: int,

@@ -2,16 +2,16 @@
 
 Everything here is arithmetic on lattice triples (k1, k2, k3): the cubic
 resonance functions, the pair-sum magnitudes m1, m2, m3, the A1/A2/A3
-classification, the D / D1 / D2 split of nonresonant triples, bounded
-enumerators, and the cached, read-only D1 cell tables (triples with exact
-Omega3) that the energy functionals sum over; energy sums the D2 cells as a
-convolution, and the D2 enumerators here are its test oracle. Other modules
-take cells, pair sums, the A-cell tie-break and Omega3 from here.
+classification, the D / D1 / D2 split of nonresonant triples, the D1
+parametrization and the cached, read-only D1 cell tables (triples with exact
+Omega3) that the energy functionals sum over. Energy sums the median-cut D2
+cells as a convolution, with no cell list. Other modules take cells, pair
+sums, the A-cell tie-break and Omega3 from here.
 
 The scalar functions work in Python integers, which are exact at any size.
-The array paths (classify_array, d1_cells, d2_triples_medcut and the table
-built on them) work in int64 and raise ValueError for |k_i|, |k| or bound
->= INT64_BOUND = 2^21, so that the cube of every entry fits in 63 bits.
+The array paths (classify_array, d1_cells and the table built on them)
+work in int64 and raise ValueError for |k_i|, |k| or bound >= INT64_BOUND
+= 2^21, so that the cube of every entry fits in 63 bits.
 omega3_factored on numpy integers raises ValueError wherever its product of
 three pair sums could leave int64 (possible from |k_i| ~ 2^19.5 on; on the
 D1 tables two of the three pair sums are small and it stays far below).
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,22 +37,17 @@ __all__ = [
     "classify",
     "a_cell",
     "classify_array",
-    "enumerate_gamma3",
-    "enumerate_D1",
-    "enumerate_D1_M",
-    "enumerate_D2",
     "d1_small_sums",
     "D1_BRANCHES",
     "d1_cells",
     "d1_omega3",
     "d1_triples",
-    "d2_triples_medcut",
     "CellTable",
     "d1_table",
 ]
 
 # D1 cut: m_med <= MED_RATIO * |k1+k2+k3|, with the constant frozen at 2^-9 so
-# the enumerators and the classifier stay in exact agreement.
+# the D1 parametrization and the classifier stay in exact agreement.
 MED_RATIO = 2.0 ** -9
 
 # Entries and bounds of the int64 paths stay below this, so cubes fit in 63 bits.
@@ -202,54 +197,6 @@ def classify_array(k1, k2, k3) -> tuple[np.ndarray, np.ndarray]:
     return a_class, d_class.astype(np.int8)
 
 
-def enumerate_gamma3(k: int, bound: int) -> Iterator[tuple[int, int, int]]:
-    """All (k1,k2,k3) with k1+k2+k3 = k and |k_i| <= bound, lexicographically.
-
-    Lazy; the stream is empty when bound < |k|/3.
-    """
-    k = int(k)
-    bound = int(bound)
-    for k1 in range(-bound, bound + 1):
-        lo = max(-bound, k - k1 - bound)
-        hi = min(bound, k - k1 + bound)
-        for k2 in range(lo, hi + 1):
-            yield (k1, k2, k - k1 - k2)
-
-
-def enumerate_D1(k: int, bound: int) -> Iterator[tuple[int, int, int]]:
-    """Triples of D1(k) with |k_i| <= bound (lazy, via the two-small-pair-sums form)."""
-    arr = d1_triples(k, bound)
-    for row in arr:
-        yield (int(row[0]), int(row[1]), int(row[2]))
-
-
-def enumerate_D1_M(k: int, M: int, bound: int) -> Iterator[tuple[int, int, int]]:
-    """The D1(k) stream restricted to dyadic_shadow(m_min) == M.
-
-    The shadows partition D1 over dyadic M (each m_min lies in exactly one
-    [M, 2M)), so summing the streams over M recovers D1(k) with no overlap.
-    """
-    for t in enumerate_D1(k, bound):
-        m_min = min(pair_sums(*t))
-        if dyadic_shadow(m_min) == M:
-            yield t
-
-
-def enumerate_D2(k: int, bound: int,
-                 predicate: Callable[[tuple[int, int, int]], bool] | None = None
-                 ) -> Iterator[tuple[int, int, int]]:
-    """Triples of D2(k) with |k_i| <= bound, optionally filtered by a predicate.
-
-    Full lattice walk; fine for test scales. The reference enumerator, of which
-    d2_triples_medcut is the vectorized median-cut specialization.
-    """
-    for t in enumerate_gamma3(k, bound):
-        if classify(*t).d_class != "D2":
-            continue
-        if predicate is None or predicate(t):
-            yield t
-
-
 def d1_small_sums(k: int) -> np.ndarray:
     """The values a small pair sum of a D1(k) cell takes: 1 <= |a| <= floor(|k|/512)."""
     t = int(np.floor(MED_RATIO * abs(int(k))))
@@ -297,43 +244,6 @@ def d1_triples(k: int, bound: int) -> np.ndarray:
     cells, ok = d1_cells(k, a.ravel(), b.ravel(), bound)
     cells = cells[:, ok].T
     return np.concatenate([cells[:, list(order)] for order in D1_BRANCHES])
-
-
-def d2_triples_medcut(k: int, bound: int, med_cut: float) -> np.ndarray:
-    """D2(k) triples with median(|k1|,|k2|,|k3|) < med_cut, |k_i| <= bound.
-
-    The cells of e32, listed as the tests' oracle for its convolution sum.
-    Vectorized: a median below med_cut forces exactly two entries a, b below
-    it (three is impossible once 3*med_cut <= |k|, which the caller's cuts
-    satisfy). The third entry k - a - b is then the unique largest, so the
-    triple is found once, in the branch that puts it in slot 3, 2 or 1.
-    When three small entries are possible, the lattice is walked instead,
-    one k1 slab at a time through classify_array, in the lexicographic
-    order of enumerate_D2. Raises ValueError for |k| or bound >= INT64_BOUND.
-    """
-    k = int(k)
-    _check_int64_range(bound, k)
-    c = int(np.ceil(med_cut))
-    if 3 * c > abs(k):
-        rows = [np.empty((0, 3), dtype=np.int64)]
-        for k1 in range(-bound, bound + 1):
-            k2 = np.arange(max(-bound, k - k1 - bound), min(bound, k - k1 + bound) + 1)
-            tri = np.stack([np.full_like(k2, k1), k2, k - k1 - k2], axis=1)
-            d_class = classify_array(*tri.T)[1]
-            med = np.sort(np.abs(tri), axis=1)[:, 1]
-            rows.append(tri[(d_class == 2) & (med < med_cut)])
-        return np.concatenate(rows)
-    vals = np.arange(-c + 1, c)
-    a, b = (x.ravel() for x in np.meshgrid(vals, vals, indexing="ij"))
-    third = k - a - b
-    m_min, m_med, _ = np.sort(pair_sums(a, b, third), axis=0)
-    ok = (np.abs(third) >= c) & (np.abs(third) <= bound)
-    ok &= (np.abs(a) <= bound) & (np.abs(b) <= bound)
-    ok &= (m_min >= 1) & (m_med > MED_RATIO * abs(k))   # in D, not in D1
-    a, b, third = a[ok], b[ok], third[ok]
-    return np.concatenate([np.stack([a, b, third], axis=1),
-                           np.stack([a, third, b], axis=1),
-                           np.stack([third, a, b], axis=1)])
 
 
 class CellTable(NamedTuple):

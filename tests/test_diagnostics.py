@@ -76,6 +76,23 @@ class TestProfiles:
         with pytest.raises(ValueError, match="no coefficient rows"):
             profile_from_csv(str(path))
 
+    # only the first row may be a header; each bad row is named by its line
+    @pytest.mark.parametrize("text,line", [
+        pytest.param("k,re,im\n1,0.05\n", 2, id="two_fields"),
+        pytest.param("k,re,im\n1,0.05,0,7\n", 2, id="four_fields"),
+        pytest.param("k,re,im\n1,abc,0\n", 2, id="not_a_number"),
+        pytest.param("1,0.05,0\n2.0,0.05,0\n", 2, id="float_k"),
+        pytest.param("1,0.05,0\nk,re,im\n", 2, id="late_header"),
+        pytest.param("k,re,im\n0,1,0\n1,nan,0\n", 3, id="nan"),
+        pytest.param("k,re,im\n1,0.05,0\n-1,0.05,inf\n", 3, id="inf"),
+        pytest.param("k,re,im\n1,0.05,0\n-1,0.05,0\n1,0.05,0\n", 4, id="repeated_k"),
+    ])
+    def test_csv_bad_row_rejected(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.csv, line {line}:"):
+            profile_from_csv(str(path))
+
     def test_random_real_field(self):
         u = random_real_field(16, np.random.default_rng(2), decay=2.0)
         u.require_real()
@@ -474,6 +491,35 @@ class TestCli:
         monkeypatch.setattr("remkdv.cli.simulate", no_run)
         rc = main(["simulate", "--out", str(tmp_path), "--override", "gauge=sideways"])
         assert rc == 3
+
+    # a malformed or non-Hermitian profile file is refused before any step
+    @pytest.mark.parametrize("text", [
+        pytest.param("k,re,im\n1,0.05\n-1,0.05,0\n", id="two_fields"),
+        pytest.param("k,re,im\n1,abc,0\n-1,0.05,0\n", id="not_a_number"),
+        pytest.param("k,re,im\n1,nan,0\n-1,nan,0\n", id="nan"),
+        pytest.param("k,re,im\n1,0.05,0.01\n-1,0.05,0.01\n", id="non_hermitian"),
+        pytest.param("k,re,im\n1,0.05,0\n-1,0.05,0\n1,0.05,0\n", id="repeated_k"),
+    ])
+    def test_exit_3_on_bad_profile_file(self, tmp_path, capsys, monkeypatch, text):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulate called with a bad profile file")
+
+        monkeypatch.setattr("remkdv.cli.simulate", no_run)
+        path = tmp_path / "profile.csv"
+        path.write_text(text)
+        rc = main(["simulate", "--out", str(tmp_path), *FAST_SIM,
+                   "--override", "profile.type=file",
+                   "--override", f"profile.path={path}"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("config error: profile.path:")
+
+    def test_profile_file_runs(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        profile_to_csv(single_mode_profile(8, 0.1), str(path))
+        rc = main(["simulate", "--out", str(tmp_path), *FAST_SIM,
+                   "--override", "profile.type=file",
+                   "--override", f"profile.path={path}"])
+        assert rc == 0
 
     def test_exit_3_on_unknown_command(self):
         with pytest.raises(SystemExit) as info:

@@ -1,3 +1,4 @@
+import functools
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -5,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from remkdv import resonance
 from remkdv.diagnostics import decaying_profile
 from remkdv.energy import (
     FOUR_PI_SQ,
@@ -21,8 +21,7 @@ from remkdv.energy import (
     energy_mode,
 )
 from remkdv.fields import FourierField, phi_dyadic, sobolev_norm
-from remkdv.resonance import (INT64_BOUND, MED_RATIO, d1_table, d1_triples,
-                              d2_triples_medcut, omega3)
+from remkdv.resonance import INT64_BOUND, MED_RATIO, d1_table, d1_triples, omega3
 
 GOLDEN = Path(__file__).parent / "golden"
 K_BIG = 2048
@@ -39,27 +38,35 @@ def _mode(u, k):
     return complex(u.mode(k))
 
 
-@pytest.fixture(scope="module")
-def lattice_rows():
-    """All triples summing to K_MODE with |k_i| <= K_BIG, with their pair sums.
+def _e31_keep(k):
+    """The cells of e31: D1(k) with the dyadic shadow of m_min below |k|^THETA1."""
+    def keep(rows, m):
+        d1 = (m[:, 0] >= 1) & (m[:, 1] <= MED_RATIO * abs(k))
+        shadow = 2.0 ** np.floor(np.log2(np.where(d1, m[:, 0], 1)))
+        return d1 & (shadow < abs(k) ** THETA1)
+    return keep
 
-    Chunked direct scan; the independent ground truth for the cell filters.
-    """
-    k = K_MODE
-    r = np.arange(-K_BIG, K_BIG + 1, dtype=np.int64)
-    rows = []
-    for lo in range(0, r.size, 512):
-        k1 = r[lo:lo + 512]
-        K1, K2 = np.meshgrid(k1, r, indexing="ij")
-        K3 = k - K1 - K2
-        ok = np.abs(K3) <= K_BIG
-        rows.append(np.stack([K1[ok], K2[ok], K3[ok]], axis=1))
-    rows = np.concatenate(rows, axis=0)
-    m = np.abs(np.stack([rows[:, 1] + rows[:, 2],
-                         rows[:, 0] + rows[:, 2],
-                         rows[:, 0] + rows[:, 1]], axis=1))
-    m.sort(axis=1)
-    return rows, m
+
+def _e32_keep(k):
+    """The cells of e32: D2(k) with the median |k_i| below |k|^THETA2."""
+    def keep(rows, m):
+        d2 = (m[:, 0] >= 1) & (m[:, 1] > MED_RATIO * abs(k))
+        med = np.sort(np.abs(rows), axis=1)[:, 1]
+        return d2 & (med < abs(k) ** THETA2)
+    return keep
+
+
+@pytest.fixture(scope="module")
+def cells(lattice_scan):
+    """cells(part, k, K): the triples that correction part ("e31" or "e32") of
+    mode k sums over at truncation K, by direct scan, each scanned once."""
+    keeps = {"e31": _e31_keep, "e32": _e32_keep}
+
+    @functools.cache
+    def get(part, k, K):
+        return lattice_scan(k, K, keeps[part](k))
+
+    return get
 
 
 def _gather(u, ks):
@@ -129,12 +136,7 @@ class TestEnergyMode:
         assert rep.total == pytest.approx(
             rep.quadratic + 2.0 * rep.e31 + 0.5 * rep.e32, rel=1e-12)
 
-    def test_repeat_call_builds_no_cell_table(self, monkeypatch):
-        def no_enumeration(*args, **kwargs):
-            raise AssertionError("energy_mode enumerated D2 cells")
-
-        monkeypatch.setattr(resonance, "d2_triples_medcut", no_enumeration)
-        monkeypatch.setattr(resonance, "enumerate_D2", no_enumeration)
+    def test_repeat_call_builds_no_cell_table(self):
         u = _random_real(K_BIG, seed=6, scale=1e-3)
         first = energy_mode(u, K_MODE)
         d1_before = d1_table.cache_info()
@@ -160,38 +162,21 @@ class TestEnergyMode:
 
 
 class TestCorrectionOracles:
-    def test_e31_matches_direct_scan(self, lattice_rows):
-        rows, m = lattice_rows
+    def test_e31_matches_direct_scan(self, cells):
         u = _random_real(K_BIG, seed=7)
-        cfg = EnergyConfig()
-        d1 = (m[:, 0] >= 1) & (m[:, 1] <= MED_RATIO * K_MODE)
-        shadow = 2.0 ** np.floor(np.log2(np.where(d1, m[:, 0], 1)))
-        keep = d1 & (shadow < K_MODE ** THETA1)
-        want = K_MODE ** 2 * _cell_sum(u, K_MODE, rows[keep])
-        got = energy_mode(u, K_MODE, cfg).e31
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_e32_matches_direct_scan(self, lattice_rows):
-        rows, m = lattice_rows
-        u = _random_real(K_BIG, seed=8)
-        cfg = EnergyConfig()
-        med = np.sort(np.abs(rows), axis=1)[:, 1]
-        d2 = (m[:, 0] >= 1) & (m[:, 1] > MED_RATIO * K_MODE)
-        keep = d2 & (med < K_MODE ** THETA2)
-        want = K_MODE ** 2 * _cell_sum(u, K_MODE, rows[keep])
-        got = energy_mode(u, K_MODE, cfg).e32
+        want = K_MODE ** 2 * _cell_sum(u, K_MODE, cells("e31", K_MODE, K_BIG))
+        got = energy_mode(u, K_MODE, EnergyConfig()).e31
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("K,k", [
-        (2048, -1024),   # negative output mode
-        (2048, 513),     # first corrected mode
-        (2048, 2048),    # |k - s| <= K cuts the third entry
+        (2048, 1024),
+        (1024, -1024),   # negative output mode; |k - s| <= K cuts the third entry
+        (1024, 513),     # first corrected mode
         (1024, 700),
     ])
-    def test_e32_matches_medcut_cells(self, K, k):
-        u = _random_real(K, seed=10)
-        rows = d2_triples_medcut(k, K, abs(k) ** THETA2)
-        want = abs(k) * k * _cell_sum(u, k, rows)
+    def test_e32_matches_direct_scan(self, cells, K, k):
+        u = _random_real(K, seed=8)
+        want = abs(k) * k * _cell_sum(u, k, cells("e32", k, K))
         assert energy_mode(u, k).e32 == pytest.approx(want, rel=1e-12)
 
     def test_e32_factorization_precondition(self):
@@ -258,21 +243,13 @@ class TestDriftCancellation:
         quad_drift = abs(k) * ((-2j * np.pi * k) * cell_sum * _mode(u, -k)).real
         assert abs(fd + quad_drift) <= 1e-3 * max(abs(fd), abs(quad_drift))
 
-    def test_e31_cancels_its_cells(self, lattice_rows):
-        rows, m = lattice_rows
+    def test_e31_cancels_its_cells(self, cells):
         u = _random_real(K_BIG, seed=11)
-        d1 = (m[:, 0] >= 1) & (m[:, 1] <= MED_RATIO * K_MODE)
-        shadow = 2.0 ** np.floor(np.log2(np.where(d1, m[:, 0], 1)))
-        keep = d1 & (shadow < K_MODE ** THETA1)
-        self._fd_vs_cells(u, K_MODE, lattice_rows[0][keep], "e31")
+        self._fd_vs_cells(u, K_MODE, cells("e31", K_MODE, K_BIG), "e31")
 
-    def test_e32_cancels_its_cells(self, lattice_rows):
-        rows, m = lattice_rows
+    def test_e32_cancels_its_cells(self, cells):
         u = _random_real(K_BIG, seed=12)
-        med = np.sort(np.abs(rows), axis=1)[:, 1]
-        d2 = (m[:, 0] >= 1) & (m[:, 1] > MED_RATIO * K_MODE)
-        keep = d2 & (med < K_MODE ** THETA2)
-        self._fd_vs_cells(u, K_MODE, rows[keep], "e32")
+        self._fd_vs_cells(u, K_MODE, cells("e32", K_MODE, K_BIG), "e32")
 
 
 class TestDiffEnergy:

@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from remkdv.fields import (
     FourierField,
-    bessel_potential,
     chi,
     deriv_multiplier,
     dyadic_blocks,
     evaluate,
-    lp_partition_sum,
     phi,
     phi_dyadic,
     project_dyadic,
@@ -156,10 +154,6 @@ class TestCutoffs:
         first[:] = -1.0
         assert phi_dyadic(8, np.arange(-20, 21)).min() == 0.0
 
-    def test_partition_of_unity(self):
-        ks = np.arange(-4096, 4097)
-        assert np.max(np.abs(lp_partition_sum(ks, 8192) - 1.0)) <= 1e-12
-
     def test_dyadic_blocks_cover(self):
         blocks = dyadic_blocks(4096)
         assert blocks[0] == 0 and blocks[1] == 1 and blocks[-1] >= 4096
@@ -189,12 +183,6 @@ class TestCutoffs:
 
 
 class TestPotentials:
-    def test_bessel_weights(self):
-        # japanese bracket on the integer lattice: <k> = (1 + k^2)^{1/2}
-        f = FourierField.from_modes(4, {2: 1.0, -2: 1.0})
-        g = bessel_potential(f, 1.0)
-        assert g.mode(2) == pytest.approx(np.sqrt(5.0))
-
     def test_riesz_drops_mean(self):
         f = FourierField.from_modes(4, {0: 5.0, 1: 1.0, -1: 1.0})
         g = riesz_potential(f, 1.0)

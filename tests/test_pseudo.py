@@ -20,7 +20,6 @@ from remkdv.pseudo import (
     _a3_row_sums,
     _support_sums,
     estimate_quadrilinear_ratio,
-    g_functional,
     ibp_symbols,
     near_projector_blocks,
     paired_quadrilinear,
@@ -337,24 +336,6 @@ class TestVerifyIBP:
         for seed in (200, 300):
             f1, f2, g = (_random_real(64, seed=seed + s) for s in (0, 1, 2))
             assert verify_ibp(1, 16, f1, f2, g) >= 1e-3
-
-
-class TestGFunctional:
-    def test_constant_trajectory_scales_with_time(self):
-        K = 12
-        fields = [_random_real(K, seed=s) for s in (31, 32, 33, 34)]
-        times = np.linspace(0.0, 0.7, 8)
-        trajs = [[f] * len(times) for f in fields]
-        got = g_functional(symbol_one(), 3, 2, trajs, times)
-        spatial = paired_quadrilinear(symbol_one(), 3, 2, *fields)
-        assert got == pytest.approx(0.7 * spatial, rel=1e-12)
-
-    def test_validates_shapes(self):
-        f = _random_real(8)
-        with pytest.raises(ValueError):
-            g_functional(symbol_one(), 3, 1, [[f], [f], [f]], [0.0])
-        with pytest.raises(ValueError):
-            g_functional(symbol_one(), 3, 1, [[f], [f], [f], [f, f]], [0.0])
 
 
 class TestQuadrilinearRatio:

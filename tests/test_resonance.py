@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +15,7 @@ from remkdv.resonance import (
     d1_small_sums,
     d1_table,
     d1_triples,
-    d2_triples_medcut,
     dyadic_shadow,
-    enumerate_D1,
-    enumerate_D1_M,
-    enumerate_D2,
-    enumerate_gamma3,
     omega3,
     omega3_factored,
     omega5,
@@ -33,21 +26,11 @@ from remkdv.resonance import (
 WIDE = st.integers(min_value=-(2 ** 20), max_value=2 ** 20)
 
 
-def _brute_d_sets(k, bound):
-    """All D1 and D2 triples of Gamma^3(k) with |k_i| <= bound, by direct scan."""
-    r = np.arange(-bound, bound + 1, dtype=np.int64)
-    K1, K2 = np.meshgrid(r, r, indexing="ij")
-    K3 = k - K1 - K2
-    ok = np.abs(K3) <= bound
-    rows = np.stack([K1[ok], K2[ok], K3[ok]], axis=1)
-    m = np.abs(np.stack([rows[:, 1] + rows[:, 2],
-                         rows[:, 0] + rows[:, 2],
-                         rows[:, 0] + rows[:, 1]], axis=1))
-    m.sort(axis=1)
-    in_d = m[:, 0] >= 1
-    d1 = in_d & (m[:, 1] <= MED_RATIO * abs(k))
-    d2 = in_d & ~d1
-    return rows[d1], rows[d2]
+def _d1_scan(lattice_scan, k, bound):
+    """D1(k) with |k_i| <= bound by direct scan: no zero pair sum and
+    m_med <= MED_RATIO |k|."""
+    return lattice_scan(k, bound,
+                        lambda rows, m: (m[:, 0] >= 1) & (m[:, 1] <= MED_RATIO * abs(k)))
 
 
 def _rowset(arr):
@@ -222,8 +205,6 @@ class TestInt64Guard:
         lambda B: d1_cells(B, 1, 1, 16),
         lambda B: d1_cells(np.array([600, -B]), 1, 1, 16),
         lambda B: d1_cells(600, 1, 1, B),
-        lambda B: d2_triples_medcut(B, 16, 4.0),
-        lambda B: d2_triples_medcut(1024, B, 1024 ** (2 / 3)),
     ])
     def test_rejects_the_int64_bound(self, call):
         with pytest.raises(ValueError, match="below"):
@@ -251,28 +232,6 @@ class TestInt64Guard:
         B = self.B - 1
         assert classify_array(B, -B, B)[1] == D_CODES[classify(B, -B, B).d_class]
         assert d1_cells(B, 1, 1, B)[1].all()
-        assert d2_triples_medcut(B, 16, 4.0).shape == (0, 3)
-
-
-class TestEnumerateGamma3:
-    def test_small_exhaustive(self):
-        triples = list(enumerate_gamma3(0, 1))
-        assert len(triples) == 7
-        assert (0, 0, 0) in triples
-        assert (1, -1, 0) in triples
-
-    def test_infeasible_is_empty(self):
-        assert list(enumerate_gamma3(5, 1)) == []
-
-    def test_zero_sum_count_closed_form(self):
-        for B in (1, 2, 5, 11):
-            assert sum(1 for _ in enumerate_gamma3(0, B)) == 3 * B * B + 3 * B + 1
-
-    def test_stream_is_valid_and_sorted(self):
-        out = list(enumerate_gamma3(3, 4))
-        assert all(sum(t) == 3 and max(map(abs, t)) <= 4 for t in out)
-        assert out == sorted(out)
-        assert len(out) == len(set(out))
 
 
 class TestD1Enumeration:
@@ -283,16 +242,14 @@ class TestD1Enumeration:
         assert d1_triples(512, 2048).shape[0] > 0
 
     @pytest.mark.parametrize("k", [512, 700, 1025])
-    def test_matches_brute_scan(self, k):
-        brute_d1, _ = _brute_d_sets(k, 2048)
+    def test_matches_brute_scan(self, lattice_scan, k):
         fast = d1_triples(k, 2048)
-        assert _rowset(fast) == _rowset(brute_d1)
+        assert _rowset(fast) == _rowset(_d1_scan(lattice_scan, k, 2048))
         assert fast.shape[0] == len(_rowset(fast))  # no duplicate rows
 
-    def test_tight_bound_is_respected(self):
+    def test_tight_bound_is_respected(self, lattice_scan):
         k = 1025
-        brute_d1, _ = _brute_d_sets(k, 1026)
-        assert _rowset(d1_triples(k, 1026)) == _rowset(brute_d1)
+        assert _rowset(d1_triples(k, 1026)) == _rowset(_d1_scan(lattice_scan, k, 1026))
 
     def test_negation_symmetry(self):
         a = _rowset(d1_triples(1025, 4096))
@@ -302,23 +259,6 @@ class TestD1Enumeration:
     def test_membership(self):
         for row in d1_triples(1025, 4096):
             assert classify(*row).d_class == "D1"
-
-    def test_enumerator_wraps_array(self):
-        assert set(enumerate_D1(600, 2048)) == _rowset(d1_triples(600, 2048))
-
-    def test_shadow_partition(self):
-        k, bound = 8193, 2 * 8193
-        whole = set(enumerate_D1(k, bound))
-        parts = {}
-        for M in (1, 2, 4, 8, 16, 32):
-            parts[M] = set(enumerate_D1_M(k, M, bound))
-        union = set().union(*parts.values())
-        assert union == whole
-        total = sum(len(p) for p in parts.values())
-        assert total == len(whole)  # pairwise disjoint
-        for M, p in parts.items():
-            for t in p:
-                assert dyadic_shadow(min(pair_sums(*t))) == M
 
     def test_structural_bounds_exhaustively(self):
         # every D1 triple with |k_i| <= 2^11: component ratio <= 8 and the
@@ -398,57 +338,6 @@ class TestCells:
 
 
 class TestD2Enumeration:
-    def test_fast_branch_matches_brute_scan(self):
-        k, bound = 1024, 2048
-        cut = float(k) ** (2.0 / 3.0)
-        _, brute_d2 = _brute_d_sets(k, bound)
-        absrows = np.abs(brute_d2)
-        med = np.sort(absrows, axis=1)[:, 1]
-        want = _rowset(brute_d2[med < cut])
-        got = d2_triples_medcut(k, bound, cut)
-        assert _rowset(got) == want
-        assert got.shape[0] == len(want)
-
-    def test_fallback_matches_brute_scan(self):
-        k, bound, cut = 100, 150, 40.0  # 3*ceil(cut) > |k| forces the walk
-        _, brute_d2 = _brute_d_sets(k, bound)
-        absrows = np.abs(brute_d2)
-        med = np.sort(absrows, axis=1)[:, 1]
-        want = _rowset(brute_d2[med < cut])
-        assert _rowset(d2_triples_medcut(k, bound, cut)) == want
-
-    @pytest.mark.parametrize("k,bound,cut", [
-        (9, 12, 9 ** (2 / 3)), (0, 10, 3.0), (-7, 15, 5.5), (100, 40, 40.0),
-        (5, 3, 10.0), (2, 0, 1.0),
-    ])
-    def test_fallback_equals_the_lattice_walk(self, k, bound, cut):
-        walk = list(enumerate_D2(k, bound, lambda t: float(np.median(np.abs(t))) < cut))
-        want = np.asarray(walk, dtype=np.int64).reshape(-1, 3)
-        got = d2_triples_medcut(k, bound, cut)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)  # same rows in the same order
-
-    def test_fallback_is_fast_at_large_bound(self):
-        # the scalar walk took 5 s here and 4x longer per doubling of bound
-        t0 = time.perf_counter()
-        rows = d2_triples_medcut(9, 256, 9 ** (2 / 3))
-        assert time.perf_counter() - t0 < 1.0
-        assert rows.shape[0] > 0
-        assert np.all(classify_array(*rows.T)[1] == 2)
-
-    def test_membership_and_cut(self):
-        k = 1024
-        cut = float(k) ** (2.0 / 3.0)
-        for row in d2_triples_medcut(k, 2048, cut)[:200]:
-            c = classify(*row)
-            assert c.d_class == "D2"
-            assert sorted(abs(int(v)) for v in row)[1] < cut
-
-    def test_enumerate_d2_predicate(self):
-        picky = list(enumerate_D2(20, 30, lambda t: t[0] == 5))
-        assert picky
-        assert all(t[0] == 5 and classify(*t).d_class == "D2" for t in picky)
-
     def test_pair_median_bounds_components(self):
         # Calibrated regression bound: on D2 with |k_i| <= 2^10 the pair-sum
         # median controls the largest component, max|k_i| <= 513 * m_med, and
