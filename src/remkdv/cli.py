@@ -185,10 +185,20 @@ def _load_config(command: str, args) -> tuple[dict, dict]:
                 run[name] = build(**run[name])
             except ValueError as exc:
                 raise ConfigError(f"bad {name} config: {exc}") from exc
-    # the one rule across keys: the watched mode lies inside the truncation
-    if "k_watch" in run and abs(run["k_watch"]) > run["model"].max_mode:
+    # the rules across keys, each checked before any step; a step count that
+    # is not a whole number raises ValueError here, a runtime error as before
+    model = run.get("model")
+    if "k_watch" in run and abs(run["k_watch"]) > model.max_mode:
         raise ConfigError(f"k_watch must be at most model.max_mode = "
-                          f"{run['model'].max_mode} in size, got {run['k_watch']}")
+                          f"{model.max_mode} in size, got {run['k_watch']}")
+    if command == "energy-drift" and model.n_steps == 0:
+        raise ConfigError(f"energy-drift needs at least one step, got "
+                          f"model.t_final = {model.t_final!r}")
+    # norms_report needs at least 4 uniformly spaced samples
+    if command == "norms" and (model.n_steps % run["sample_every"]
+                               or model.n_steps // run["sample_every"] < 3):
+        raise ConfigError(f"sample_every must divide model.n_steps = {model.n_steps} "
+                          f"into at least 3 intervals, got {run['sample_every']}")
     return cfg, run
 
 
@@ -273,10 +283,8 @@ def _cmd_identities(c: dict, write) -> int:
 
 def _cmd_smoothing(c: dict, write) -> int:
     model = c["model"]
-    rep = smoothing_scan(
-        max_mode=model.max_mode, t_final=model.t_final, dt=model.dt,
-        sigma=c["profile"]["sigma"], eps_list=c["eps_list"],
-        watch_modes=c["watch_modes"], seed=c["seed"], sign=model.sign)
+    base = decaying_profile(model.max_mode, 1.0, c["profile"]["sigma"], c["seed"])
+    rep = smoothing_scan(base, model, c["eps_list"], c["watch_modes"])
     rows = [(eps, k, rep.sup_deviation[eps][k])
             for eps in rep.eps_list for k in rep.watch_modes]
     ratios = {}
@@ -298,11 +306,9 @@ def _cmd_smoothing(c: dict, write) -> int:
 
 def _cmd_energy_drift(c: dict, write) -> int:
     model = c["model"]
-    rep = energy_drift_scan(
-        max_mode=model.max_mode, k_watch=c["k_watch"], t_final=model.t_final,
-        dt=model.dt, sigma=c["profile"]["sigma"], eps=c["profile"]["eps"],
-        seed=c["seed"], sample_every=c["sample_every"], sign=model.sign,
-        energy_config=c["energy"], integrator=model.integrator)
+    u0 = decaying_profile(model.max_mode, c["profile"]["eps"], c["profile"]["sigma"],
+                          c["seed"])
+    rep = energy_drift_scan(u0, model, c["k_watch"], c["sample_every"], c["energy"])
     print(f"energy-drift: k={rep.k} drift(quadratic)={rep.drift_quadratic:.3e} "
           f"drift(corrected)={rep.drift_total:.3e} ratio={rep.ratio:.3f}")
     write({"drift_quadratic": rep.drift_quadratic,

@@ -351,10 +351,10 @@ class SmoothingReport:
     ratios: dict = dc_field(default_factory=dict)         # {k: dev(2eps)/dev(eps)}
 
 
-def smoothing_scan(max_mode: int, t_final: float, dt: float, sigma: float,
-                   eps_list: list[float], watch_modes: list[int],
-                   seed: int = 0, sign: int = 1) -> SmoothingReport:
-    """sup_t | |u^(k,t)|^2 - |u^(k,0)|^2 | per watched mode and amplitude.
+def smoothing_scan(base: FourierField, model: ModelConfig, eps_list: list[float],
+                   watch_modes: list[int]) -> SmoothingReport:
+    """sup_t | |u^(k,t)|^2 - |u^(k,0)|^2 | per watched mode and amplitude,
+    each amplitude eps a run of model from eps * base.
 
     The deviation is quartic in the amplitude at leading order (one cubic
     interaction paired against the mode itself), so doubling eps should
@@ -365,13 +365,11 @@ def smoothing_scan(max_mode: int, t_final: float, dt: float, sigma: float,
     its last finite state, at its own time.
     """
     report = SmoothingReport(list(eps_list), list(watch_modes))
-    base = decaying_profile(max_mode, 1.0, sigma, seed)
     for eps in eps_list:
-        cfg = ModelConfig(max_mode=max_mode, dt=dt, t_final=t_final, sign=sign)
         state = SimulationState(0.0, eps * base)
         cols = {k: [abs(state.field.mode(k)) ** 2] for k in watch_modes}
-        for _ in range(cfg.n_steps):
-            state = step(state, cfg)
+        for _ in range(model.n_steps):
+            state = step(state, model)
             for k, col in cols.items():
                 col.append(abs(state.field.mode(k)) ** 2)
         devs = {}
@@ -402,32 +400,28 @@ class EnergyDriftReport:
     ratio: float
 
 
-def energy_drift_scan(max_mode: int, k_watch: int, t_final: float, dt: float,
-                      sigma: float, eps: float, seed: int = 0,
-                      sample_every: int = 25, sign: int = 1,
-                      energy_config: EnergyConfig | None = None,
-                      integrator: str = "ifrk4") -> EnergyDriftReport:
+def energy_drift_scan(u0: FourierField, model: ModelConfig, k_watch: int,
+                      sample_every: int = 25,
+                      energy_config: EnergyConfig | None = None) -> EnergyDriftReport:
     """Track the plain quadratic density and the corrected energy of one high
-    mode along a renormalized run; the corrected drift should be the smaller.
+    mode along a run of model from u0; the corrected drift should be the
+    smaller.
 
     The corrections cancel the nonresonant quartic drift of the watched
     mode, so the comparison means something only if the run resolves that
-    drift. With integrator="ifrk4" it does not at the criterion-9 shape
+    drift. With model.integrator "ifrk4" it does not at the criterion-9 shape
     (K = 2048, k_watch = 1024, dt = 2e-4): every nondegenerate triple feeding
     mode 1024 turns its phase by at least (2 pi)^3 * 6138 * dt ~ 305 rad per
     step, which IFRK4 samples at three points, so both measured drifts are
     integration error and their ratio is 1 to six digits. A first-order
     Duhamel sum over those triples, with exact phases and frozen amplitudes,
     gives a quadratic drift of 5.6e-13 and a ratio of 0.0034 at eps = 0.05.
-    integrator="exact-phase" integrates every phase exactly and measures
-    5.57e-13 and 0.0036 there; it is the one whose ratio tests the
-    mechanism. "ifrk4" stays the default because it takes seconds where the
-    exact-phase run takes minutes."""
+    "exact-phase" integrates every phase exactly and measures 5.57e-13 and
+    0.0036 there; it is the one whose ratio tests the mechanism. "ifrk4"
+    stays the CLI default because it takes seconds where the exact-phase
+    run takes minutes."""
     cfg_e = energy_config or EnergyConfig()
-    u0 = decaying_profile(max_mode, eps, sigma, seed)
-    cfg = ModelConfig(max_mode=max_mode, dt=dt, t_final=t_final, sign=sign,
-                      integrator=integrator)
-    res = simulate(u0, cfg, sample_every=sample_every)
+    res = simulate(u0, model, sample_every=sample_every)
     times, quad, tot = [], [], []
     for s in res.snapshots:
         rep = energy_mode(s.field, k_watch, cfg_e)

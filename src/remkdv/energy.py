@@ -21,11 +21,12 @@ polarization and is summed over dyadic blocks with an N^{2s'} ladder.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FourierField, phi_dyadic, sobolev_norm
+from .fields import FourierField, dyadic_blocks, phi_dyadic, sobolev_norm
 from .resonance import (D1_BRANCHES, d1_cells, d1_omega3, d1_small_sums, d1_table,
                         pair_sums)
 
@@ -186,10 +187,8 @@ def diff_energy_total(u: FourierField, v: FourierField, n0: int,
                       s_prime: float) -> float:
     """Ladder sum over dyadic blocks: sum_N N^{2s'} E_N(u, v)."""
     total = 0.0
-    N = 1
-    while N <= 2 * u.max_mode:
+    for N in dyadic_blocks(u.max_mode)[1:]:
         total += N ** (2.0 * s_prime) * diff_energy_dyadic(u, v, N, n0)
-        N *= 2
     return total
 
 
@@ -208,15 +207,7 @@ def coercivity_margin(u: FourierField, v: FourierField, s_prime: float = 5.0 / 2
     block is below n0; coercivity holds while it stays within [1/2, 2]."""
     if n0 is None:
         n0 = default_block_floor(u, v, s_reg)
-    w = u - v
-    ks = w.modes
-    quad = 0.0
-    N = 1
-    while N <= 2 * u.max_mode:
-        quad += N ** (2.0 * s_prime) * float(
-            np.sum(phi_dyadic(N, ks) ** 2 * np.abs(w.coeffs) ** 2))
-        N *= 2
-    quad *= 0.5
+    quad = diff_energy_total(u, v, math.inf, s_prime)
     if quad == 0.0:
         return 1.0
     return diff_energy_total(u, v, n0, s_prime) / quad

@@ -19,9 +19,9 @@ afresh (about three minutes each).
 import json
 from pathlib import Path
 
-from remkdv.diagnostics import energy_drift_scan, smoothing_scan
+from remkdv.diagnostics import decaying_profile, energy_drift_scan, smoothing_scan
 from remkdv.energy import EnergyConfig, energy_mode
-from remkdv.diagnostics import decaying_profile
+from remkdv.evolve import ModelConfig
 from remkdv.pseudo import estimate_quadrilinear_ratio, ibp_symbols, symbol_one
 
 HERE = Path(__file__).resolve().parent
@@ -37,8 +37,11 @@ def smoothing_baseline() -> dict:
         "watch_modes": [32, 64, 128],
         "seed": 0,
     }
-    rep = smoothing_scan(**{**config, "eps_list": tuple(config["eps_list"]),
-                            "watch_modes": tuple(config["watch_modes"])})
+    rep = smoothing_scan(
+        decaying_profile(config["max_mode"], 1.0, config["sigma"], config["seed"]),
+        ModelConfig(max_mode=config["max_mode"], dt=config["dt"],
+                    t_final=config["t_final"]),
+        tuple(config["eps_list"]), tuple(config["watch_modes"]))
     return {
         "config": config,
         "ratios": {str(k): rep.ratios[k][0.05] for k in (32, 64, 128)},
@@ -61,9 +64,11 @@ def _resolved_record(eps: float) -> dict:
         "sample_every": 25,
         "integrator": "exact-phase",
     }
-    rep = energy_drift_scan(**config)
-    u0 = decaying_profile(2048, eps, 1.0, seed=0)
-    e0 = energy_mode(u0, 1024, EnergyConfig())
+    u0 = decaying_profile(config["max_mode"], eps, config["sigma"], config["seed"])
+    model = ModelConfig(max_mode=config["max_mode"], dt=config["dt"],
+                        t_final=config["t_final"], integrator=config["integrator"])
+    rep = energy_drift_scan(u0, model, config["k_watch"], config["sample_every"])
+    e0 = energy_mode(u0, config["k_watch"], EnergyConfig())
     return {
         "config": config,
         "drift_quadratic": rep.drift_quadratic,

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from remkdv.diagnostics import (
+    decaying_profile,
     energy_drift_scan,
     random_real_field,
     single_mode_profile,
@@ -319,8 +320,9 @@ def test_criterion_7_coercivity_sandwich():
 
 
 def test_criterion_8_smoothing_amplitude_scaling():
-    rep = smoothing_scan(max_mode=C8_K, t_final=C8_T, dt=C8_DT, sigma=C8_SIGMA,
-                         eps_list=C8_EPS_LIST, watch_modes=C8_WATCH, seed=0)
+    rep = smoothing_scan(decaying_profile(C8_K, 1.0, C8_SIGMA, seed=0),
+                         ModelConfig(max_mode=C8_K, dt=C8_DT, t_final=C8_T),
+                         C8_EPS_LIST, C8_WATCH)
     for k in C8_WATCH:
         ratio = rep.ratios[k][C8_EPS_LIST[0]]
         assert C8_RATIO_WINDOW[0] <= ratio <= C8_RATIO_WINDOW[1], \
@@ -344,11 +346,10 @@ def _c9_scan(run):
     assert c["max_mode"] == C9_K and c["k_watch"] == C9_WATCH
     assert c["t_final"] == C9_T and c["dt"] == C9_DT
     assert c["sigma"] == C9_SIGMA and c["eps"] <= C9_EPS_MAX
-    rep = energy_drift_scan(max_mode=c["max_mode"], k_watch=c["k_watch"],
-                            t_final=c["t_final"], dt=c["dt"],
-                            sigma=c["sigma"], eps=c["eps"], seed=c["seed"],
-                            sample_every=c["sample_every"],
-                            integrator=c.get("integrator", "ifrk4"))
+    model = ModelConfig(max_mode=c["max_mode"], dt=c["dt"], t_final=c["t_final"],
+                        integrator=c.get("integrator", "ifrk4"))
+    u0 = decaying_profile(c["max_mode"], c["eps"], c["sigma"], seed=c["seed"])
+    rep = energy_drift_scan(u0, model, c["k_watch"], sample_every=c["sample_every"])
     for got, want in ((rep.drift_quadratic, run["drift_quadratic"]),
                       (rep.drift_total, run["drift_total"]),
                       (rep.ratio, run["ratio"])):
@@ -356,6 +357,7 @@ def _c9_scan(run):
     return c["eps"], rep.ratio
 
 
+@pytest.mark.slow
 def test_criterion_9_modified_energy_drift():
     t0 = time.monotonic()
     golden = json.loads((GOLDEN / "energy_drift.json").read_text())

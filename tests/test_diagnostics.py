@@ -246,11 +246,13 @@ class TestSuites:
         assert not c.passed and c.residual > 0
 
 
+SMALL = ModelConfig(max_mode=32, dt=1e-3, t_final=0.02)
+BASE = decaying_profile(32, 1.0, 2.0, seed=0)
+
+
 class TestSmoothingScan:
     def test_structure_and_determinism(self):
-        kw = dict(max_mode=32, t_final=0.02, dt=1e-3, sigma=2.0,
-                  eps_list=[0.05, 0.1], watch_modes=[8, 16], seed=0)
-        rep = smoothing_scan(**kw)
+        rep = smoothing_scan(BASE, SMALL, [0.05, 0.1], [8, 16])
         assert set(rep.sup_deviation) == {0.05, 0.1}
         for eps in (0.05, 0.1):
             assert set(rep.sup_deviation[eps]) == {8, 16}
@@ -259,36 +261,34 @@ class TestSmoothingScan:
         # 0.1 = 2 * 0.05 is the one doubling pair in the list
         for k in (8, 16):
             assert list(rep.ratios[k]) == [0.05]
-        again = smoothing_scan(**kw)
+        again = smoothing_scan(BASE, SMALL, [0.05, 0.1], [8, 16])
         assert again.sup_deviation == rep.sup_deviation
 
     def test_quartic_amplitude_scaling_small(self):
-        rep = smoothing_scan(max_mode=32, t_final=0.02, dt=1e-3, sigma=2.0,
-                             eps_list=[0.05, 0.1], watch_modes=[8, 16], seed=0)
+        rep = smoothing_scan(BASE, SMALL, [0.05, 0.1], [8, 16])
         for k in (8, 16):
             assert rep.ratios[k][0.05] == pytest.approx(16.0, rel=0.5)
 
     def test_streamed_equals_snapshot_path(self):
         # the scan steps and keeps only the watched modes; the deviations are
-        # those of a run that keeps every state, bit for bit
-        kw = dict(max_mode=32, t_final=0.02, dt=1e-3, sigma=2.0, seed=0)
-        rep = smoothing_scan(eps_list=[0.05, 0.1], watch_modes=[8, 16, 8, 31], **kw)
-        base = decaying_profile(32, 1.0, 2.0, 0)
-        for eps in (0.05, 0.1):
-            cfg = ModelConfig(max_mode=32, dt=1e-3, t_final=0.02)
-            snaps = simulate(eps * base, cfg, sample_every=1).snapshots
-            assert len(snaps) == 21
-            for k in (8, 16, 31):
-                col = np.array([abs(s.field.mode(k)) ** 2 for s in snaps])
-                assert rep.sup_deviation[eps][k] == float(np.max(np.abs(col - col[0])))
+        # those of a run of the same config that keeps every state, bit for
+        # bit, for the default flow and for the plain one of the other sign
+        plain = ModelConfig(max_mode=32, dt=1e-3, t_final=0.02, sign=-1,
+                            renormalized=False)
+        for cfg in (SMALL, plain):
+            rep = smoothing_scan(BASE, cfg, [0.05, 0.1], [8, 16, 8, 31])
+            for eps in (0.05, 0.1):
+                snaps = simulate(eps * BASE, cfg, sample_every=1).snapshots
+                assert len(snaps) == 21
+                for k in (8, 16, 31):
+                    col = np.array([abs(s.field.mode(k)) ** 2 for s in snaps])
+                    assert rep.sup_deviation[eps][k] == float(np.max(np.abs(col - col[0])))
 
     def test_edge_cases_keep_their_values(self):
         # the values of separate one-amplitude runs at K = 32: a mode beyond
         # K and the pinned mean read 0, -k reads as k, and repeated
         # amplitudes and modes repeat their entries
-        rep = smoothing_scan(max_mode=32, t_final=0.02, dt=1e-3, sigma=2.0, seed=0,
-                             eps_list=[0.05, 0.1, 0.05],
-                             watch_modes=[8, -8, 0, 40, 8, 31])
+        rep = smoothing_scan(BASE, SMALL, [0.05, 0.1, 0.05], [8, -8, 0, 40, 8, 31])
         assert rep.eps_list == [0.05, 0.1, 0.05]
         assert rep.watch_modes == [8, -8, 0, 40, 8, 31]
         assert rep.sup_deviation == {
@@ -300,23 +300,22 @@ class TestSmoothingScan:
         assert rep.ratios == {8: {0.05: 16.00489592583505},
                               -8: {0.05: 16.00489592583505}, 0: {}, 40: {},
                               31: {0.05: 16.092086937131626}}
-        empty = smoothing_scan(max_mode=32, t_final=0.02, dt=1e-3, sigma=2.0,
-                               eps_list=[], watch_modes=[8])
+        empty = smoothing_scan(BASE, SMALL, [], [8])
         assert empty.sup_deviation == {} and empty.ratios == {8: {}}
 
     def test_blowup_carries_the_failing_amplitude(self):
         # amplitudes run in eps_list order: 2.0 fails in its step from
         # t = 0.009 and is reported, though 50.0 fails sooner (from t = 0.001)
-        kw = dict(max_mode=16, t_final=0.05, dt=1e-3, sigma=2.0, seed=0)
+        base = decaying_profile(16, 1.0, 2.0, seed=0)
+        cfg = ModelConfig(max_mode=16, dt=1e-3, t_final=0.05)
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # no numpy overflow warning first
             with pytest.raises(BlowUpError, match="non-finite at t=0.009$") as info:
-                smoothing_scan(eps_list=[0.05, 2.0, 50.0], watch_modes=[4, 8], **kw)
+                smoothing_scan(base, cfg, [0.05, 2.0, 50.0], [4, 8])
         last = info.value.last_good
         assert isinstance(last, SimulationState)
         # the same run of the failing amplitude alone, one step at a time
-        state = SimulationState(0.0, 2.0 * decaying_profile(16, 1.0, 2.0, 0))
-        cfg = ModelConfig(max_mode=16, dt=1e-3, t_final=0.05)
+        state = SimulationState(0.0, 2.0 * base)
         with pytest.raises(BlowUpError) as alone:
             for _ in range(cfg.n_steps):
                 state = step(state, cfg)
@@ -327,12 +326,15 @@ class TestSmoothingScan:
         assert last.alpha_accum == want.alpha_accum
 
 
+DRIFT = ModelConfig(max_mode=64, dt=1e-3, t_final=0.02)
+
+
 class TestEnergyDriftScan:
     def test_below_threshold_is_pure_quadratic(self):
         # watched mode under the correction threshold: total == quadratic,
         # so the report must come out with ratio exactly one
-        rep = energy_drift_scan(max_mode=64, k_watch=16, t_final=0.02, dt=1e-3,
-                                sigma=1.0, eps=0.1, seed=0, sample_every=5)
+        u0 = decaying_profile(64, 0.1, 1.0, seed=0)
+        rep = energy_drift_scan(u0, DRIFT, 16, sample_every=5)
         assert rep.k == 16
         assert rep.times == pytest.approx([0.0, 5e-3, 1e-2, 1.5e-2, 2e-2])
         assert rep.total == rep.quadratic
@@ -341,20 +343,22 @@ class TestEnergyDriftScan:
         assert rep.ratio == 1.0
 
     def test_integrator_keyword(self):
-        kw = dict(max_mode=64, k_watch=16, t_final=0.02, dt=1e-3, sigma=1.0,
-                  eps=0.1, seed=0, sample_every=5)
-        ifrk4 = energy_drift_scan(**kw)
-        exact = energy_drift_scan(**kw, integrator="exact-phase")
+        u0 = decaying_profile(64, 0.1, 1.0, seed=0)
+        ifrk4 = energy_drift_scan(u0, DRIFT, 16, sample_every=5)
+        exact = energy_drift_scan(
+            u0, ModelConfig(max_mode=64, dt=1e-3, t_final=0.02, integrator="exact-phase"),
+            16, sample_every=5)
         assert exact.quadratic[0] == ifrk4.quadratic[0]
         assert exact.drift_quadratic > 0
         assert exact.drift_quadratic != ifrk4.drift_quadratic
         with pytest.raises(ValueError, match="unknown integrator"):
-            energy_drift_scan(**kw, integrator="euler")
+            ModelConfig(max_mode=64, dt=1e-3, t_final=0.02, integrator="euler")
 
     def test_initial_quadratic_value(self):
         eps, sigma, k = 0.1, 1.0, 16
-        rep = energy_drift_scan(max_mode=64, k_watch=k, t_final=1e-3, dt=1e-3,
-                                sigma=sigma, eps=eps, seed=0, sample_every=1)
+        u0 = decaying_profile(64, eps, sigma, seed=0)
+        rep = energy_drift_scan(u0, ModelConfig(max_mode=64, dt=1e-3, t_final=1e-3),
+                                k, sample_every=1)
         amp = eps * (1.0 + k ** 2) ** (-sigma / 2.0)
         assert rep.quadratic[0] == pytest.approx(0.5 * k * amp ** 2, rel=1e-12)
 
@@ -714,6 +718,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: k_watch must be")
 
+    # norms needs at least 4 uniformly spaced samples: a sample_every that
+    # does not divide the step count (the final state would fall off the
+    # grid) or leaves fewer is refused before any step
+    @pytest.mark.parametrize("sample_every", [300, 2500])
+    def test_norms_exit_3_on_unusable_sample_every(self, tmp_path, capsys, monkeypatch,
+                                                   sample_every):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulate called with an unusable sample_every")
+
+        monkeypatch.setattr("remkdv.cli.simulate", no_run)
+        rc = main(["norms", "--out", str(tmp_path),
+                   "--override", f"sample_every={sample_every}"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("config error: sample_every must divide")
+
+    def test_energy_drift_exit_3_on_no_step(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("energy_drift_scan called with no step to take")
+
+        monkeypatch.setattr("remkdv.cli.energy_drift_scan", no_run)
+        rc = main(["energy-drift", "--out", str(tmp_path), "--override", "model.t_final=0",
+                   "--override", "model.max_mode=64", "--override", "k_watch=16"])
+        assert rc == 3
+        assert "at least one step" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "norms", "energy-drift"])
     def test_exit_3_on_sample_every_below_one(self, tmp_path, capsys, command):
         rc = main([command, "--out", str(tmp_path), *FAST_SIM[:6],
@@ -736,7 +766,9 @@ def _config_keys(section: dict, prefix: str = ""):
 LITERALS = ['"none"', '"forward"', '"decaying"', '"file"', '"exact-phase"',
             '"x"', '""', '"."', "true", "false", "null", "[]", "[1, 2]", '[0.5, "x"]',
             "{}", "NaN", "0", "1", "-1", "2", "0.5", "-2.5", "2.5"]
-PINNED = {"simulate": FAST_SIM, "norms": FAST_SIM, "energy-drift": FAST_SIM,
+# norms at sample_every=2, since 5 of 10 steps leaves it 3 samples of the 4 it needs
+PINNED = {"simulate": FAST_SIM, "norms": [*FAST_SIM[:6], "--override", "sample_every=2"],
+          "energy-drift": FAST_SIM,
           "smoothing": FAST_SIM[:6], "identities": ["--override", "quick=true"]}
 
 
