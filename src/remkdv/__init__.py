@@ -19,8 +19,8 @@ The package has six small layers:
 
 __version__ = "0.1.0"
 
-from .energy import (EnergyConfig, EnergyReport, coercivity_margin,
-                     diff_energy_dyadic, diff_energy_total, energy_mode)
+from .energy import (EnergyReport, coercivity_margin, diff_energy_dyadic,
+                     diff_energy_total, energy_mode)
 from .evolve import (BlowUpError, ModelConfig, SimulationResult,
                      SimulationState, gauge_backward, gauge_forward, rhs,
                      rhs_split, simulate, step)
@@ -36,7 +36,7 @@ from .resonance import (MED_RATIO, TripleClass, classify, dyadic_shadow,
 
 __all__ = [
     "__version__",
-    "BlowUpError", "EnergyConfig", "EnergyReport", "FourierField",
+    "BlowUpError", "EnergyReport", "FourierField",
     "IBPSymbols", "MED_RATIO", "ModelConfig", "SimulationResult",
     "SimulationState", "SymbolFn", "TripleClass",
     "chi", "classify", "coercivity_margin", "deriv_multiplier",

@@ -29,7 +29,6 @@ from . import __version__
 from .diagnostics import (decaying_profile, energy_drift_scan, norms_report,
                           profile_from_csv, run_identity_suites,
                           single_mode_profile, smoothing_scan)
-from .energy import EnergyConfig
 from .evolve import (BlowUpError, ModelConfig, gauge_backward, gauge_forward,
                      simulate)
 from .fields import FourierField
@@ -74,7 +73,6 @@ DEFAULTS: dict[str, dict] = {
         "profile": {"eps": 0.05, "sigma": 1.0},
         "k_watch": 1024,
         "sample_every": 25,
-        "energy": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0},
         "require_ratio_below": None,  # e.g. 1.0 to enforce improvement
     },
     "norms": {
@@ -88,9 +86,9 @@ DEFAULTS: dict[str, dict] = {
 }
 
 # The type of a key's default is its check. What a type cannot say is here:
-# the type a None default stands for when the value is not null, the rules
-# a value must also meet (by key, or by (command, key) where a command
-# differs), and the sections that become config objects.
+# the type a None default stands for when the value is not null, and the
+# rules a value must also meet (by key, or by (command, key) where a command
+# differs).
 NULLABLE = {"profile.path": "", "scaling_band": [0.0], "require_ratio_below": 0.0}
 
 
@@ -108,7 +106,6 @@ RULES = {
     # norms reads no profile.path, so it has no file profile
     ("norms", "profile.type"): _one_of("single_mode", "decaying"),
 }
-SECTIONS = {"model": ModelConfig, "energy": EnergyConfig}
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
           str: "a string", list: "a list", dict: "an object of config keys"}
 
@@ -179,12 +176,11 @@ def _load_config(command: str, args) -> tuple[dict, dict]:
         _check(command, layer, defaults)
         cfg = _merge(cfg, layer)
     run = _check(command, cfg, defaults)
-    for name, build in SECTIONS.items():
-        if name in run:
-            try:
-                run[name] = build(**run[name])
-            except ValueError as exc:
-                raise ConfigError(f"bad {name} config: {exc}") from exc
+    if "model" in run:
+        try:
+            run["model"] = ModelConfig(**run["model"])
+        except ValueError as exc:
+            raise ConfigError(f"bad model config: {exc}") from exc
     # the rules across keys, each checked before any step; a step count that
     # is not a whole number raises ValueError here, a runtime error as before
     model = run.get("model")
@@ -308,7 +304,7 @@ def _cmd_energy_drift(c: dict, write) -> int:
     model = c["model"]
     u0 = decaying_profile(model.max_mode, c["profile"]["eps"], c["profile"]["sigma"],
                           c["seed"])
-    rep = energy_drift_scan(u0, model, c["k_watch"], c["sample_every"], c["energy"])
+    rep = energy_drift_scan(u0, model, c["k_watch"], c["sample_every"])
     print(f"energy-drift: k={rep.k} drift(quadratic)={rep.drift_quadratic:.3e} "
           f"drift(corrected)={rep.drift_total:.3e} ratio={rep.ratio:.3f}")
     write({"drift_quadratic": rep.drift_quadratic,

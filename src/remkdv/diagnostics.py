@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .energy import EnergyConfig, energy_mode
+from .energy import energy_mode
 from .evolve import ModelConfig, SimulationState, rhs_split, simulate, step
 from .fields import (FourierField, phi_dyadic, riesz_potential, sobolev_norm,
                      space_time_norm, xsb_norm_diagnostic)
@@ -210,14 +210,15 @@ def sextic_skew_sum(u: FourierField, k: int, cutoff: int) -> tuple[float, float]
 # ------------------------------------------------------------- suites
 
 def suite_resonance(seed: int = 0, exhaustive_bound: int = 24,
-                    n_random: int = 2000, wide: int = 2 ** 20) -> list[IdentityCheck]:
+                    n_random: int = 2000) -> list[IdentityCheck]:
     """Exact-integer checks of the resonance functions and their splittings.
 
     The exhaustive box runs on int64 arrays, one k1 slab at a time (exact for
     any box that fits in memory; omega3_factored refuses a slab that could
-    overflow); the wide draws, whose cubes leave int64, are drawn in one call
-    per kind and checked in Python ints."""
+    overflow); the wide draws, in [-2^20, 2^20] so that their cubes leave
+    int64, are drawn in one call per kind and checked in Python ints."""
     b = exhaustive_bound
+    wide = 2 ** 20
     ks = np.arange(-b, b + 1, dtype=np.int64)
     k2, k3 = np.meshgrid(ks, ks, indexing="ij")
     worst3 = 0
@@ -401,8 +402,7 @@ class EnergyDriftReport:
 
 
 def energy_drift_scan(u0: FourierField, model: ModelConfig, k_watch: int,
-                      sample_every: int = 25,
-                      energy_config: EnergyConfig | None = None) -> EnergyDriftReport:
+                      sample_every: int = 25) -> EnergyDriftReport:
     """Track the plain quadratic density and the corrected energy of one high
     mode along a run of model from u0; the corrected drift should be the
     smaller.
@@ -420,11 +420,10 @@ def energy_drift_scan(u0: FourierField, model: ModelConfig, k_watch: int,
     0.0036 there; it is the one whose ratio tests the mechanism. "ifrk4"
     stays the CLI default because it takes seconds where the exact-phase
     run takes minutes."""
-    cfg_e = energy_config or EnergyConfig()
     res = simulate(u0, model, sample_every=sample_every)
     times, quad, tot = [], [], []
     for s in res.snapshots:
-        rep = energy_mode(s.field, k_watch, cfg_e)
+        rep = energy_mode(s.field, k_watch)
         times.append(s.t)
         quad.append(rep.quadratic)
         tot.append(rep.total)

@@ -61,8 +61,14 @@ class ModelConfig:
     integrator: str = "ifrk4"
 
     def __post_init__(self):
-        if isinstance(self.max_mode, bool) or not isinstance(self.max_mode, (int, np.integer)):
-            raise ValueError("max_mode must be an integer")
+        # the types first: a bool is no number here, and "no" is no flag
+        ints, reals = (int, np.integer), (int, float, np.integer, np.floating)
+        for key, kinds in (("max_mode", ints), ("dt", reals), ("t_final", reals),
+                           ("sign", ints), ("renormalized", bool), ("dealias", bool),
+                           ("integrator", str)):
+            val = getattr(self, key)
+            if not isinstance(val, kinds) or (isinstance(val, bool) and kinds is not bool):
+                raise ValueError(f"{key} must not be of type {type(val).__name__}")
         if self.max_mode < 1:
             raise ValueError("max_mode must be at least 1")
         # written so that NaN fails too; an infinite dt or t_final has no step count

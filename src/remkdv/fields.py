@@ -273,15 +273,15 @@ def project_leq(field: FourierField, N: int) -> FourierField:
     return field.multiplied(chi(field.modes / N))
 
 
-def riesz_potential(field: FourierField, s: float, zero_mode_tol: float = 1e-13) -> FourierField:
+def riesz_potential(field: FourierField, s: float) -> FourierField:
     """|d/dx|^s: multiplier |k|^s.
 
     The zero mode is always dropped (|0|^s = 0 for s > 0; for s <= 0 the symbol
-    is singular there, so mode 0 is zeroed by convention). For s < 0 a nonzero
-    mean is an error rather than silently discarded mass.
+    is singular there, so mode 0 is zeroed by convention). For s < 0 a mean
+    above 1e-13 is an error rather than silently discarded mass.
     """
     ks = field.modes.astype(np.float64)
-    if s < 0 and abs(field.mean()) > zero_mode_tol:
+    if s < 0 and abs(field.mean()) > 1e-13:
         raise ValueError("riesz_potential with s < 0 needs a mean-free field")
     mult = np.zeros_like(ks)
     nz = ks != 0
@@ -306,11 +306,11 @@ def _lq_space_norm(field: FourierField, q: float, n_points: int) -> float:
 
 
 def space_time_norm(snapshots: Sequence[FourierField], times: Sequence[float],
-                    p: float, q: float, n_points: int | None = None) -> float:
+                    p: float, q: float) -> float:
     """Mixed norm ||u||_{L^p_t L^q_x} along a sampled trajectory.
 
-    The space norm is a uniform-grid quadrature (default grid 4K+1 points,
-    enough to oversample the cubic range); the time norm is composite
+    The space norm is a uniform-grid quadrature on 4K+1 points, enough to
+    oversample the cubic range; the time norm is composite
     trapezoid, or a max over samples for p = inf.
     """
     snapshots = list(snapshots)
@@ -319,8 +319,7 @@ def space_time_norm(snapshots: Sequence[FourierField], times: Sequence[float],
         raise ValueError("snapshot/time count mismatch")
     if len(snapshots) == 0:
         raise ValueError("empty trajectory")
-    if n_points is None:
-        n_points = 4 * snapshots[0].max_mode + 1
+    n_points = 4 * snapshots[0].max_mode + 1
     slices = np.array([_lq_space_norm(f, q, n_points) for f in snapshots])
     if np.isinf(p):
         return float(np.max(slices))

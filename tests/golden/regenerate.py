@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 
 from remkdv.diagnostics import decaying_profile, energy_drift_scan, smoothing_scan
-from remkdv.energy import EnergyConfig, energy_mode
+from remkdv.energy import energy_mode
 from remkdv.evolve import ModelConfig
 from remkdv.pseudo import estimate_quadrilinear_ratio, ibp_symbols, symbol_one
 
@@ -68,7 +68,7 @@ def _resolved_record(eps: float) -> dict:
     model = ModelConfig(max_mode=config["max_mode"], dt=config["dt"],
                         t_final=config["t_final"], integrator=config["integrator"])
     rep = energy_drift_scan(u0, model, config["k_watch"], config["sample_every"])
-    e0 = energy_mode(u0, config["k_watch"], EnergyConfig())
+    e0 = energy_mode(u0, config["k_watch"])
     return {
         "config": config,
         "drift_quadratic": rep.drift_quadratic,

@@ -641,6 +641,7 @@ class TestCli:
         ("smoothing", "model.dealias=false"),
         ("smoothing", "profile.type=decaying"),
         ("smoothing", "model.integrator=bogus"),
+        ("energy-drift", "energy.alpha=2.0"),
     ])
     def test_exit_3_on_unhonoured_key(self, tmp_path, capsys, command, override):
         rc = main([command, "--out", str(tmp_path), *FAST_SIM[:6],

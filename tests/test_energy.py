@@ -1,18 +1,18 @@
 import functools
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from remkdv import energy
 from remkdv.diagnostics import decaying_profile
 from remkdv.energy import (
     FOUR_PI_SQ,
     K_THRESHOLD,
+    LL_RATIO,
     THETA1,
     THETA2,
-    EnergyConfig,
     EnergyReport,
     coercivity_margin,
     default_block_floor,
@@ -21,7 +21,8 @@ from remkdv.energy import (
     energy_mode,
 )
 from remkdv.fields import FourierField, phi_dyadic, sobolev_norm
-from remkdv.resonance import INT64_BOUND, MED_RATIO, d1_table, d1_triples, omega3
+from remkdv.resonance import (INT64_BOUND, MED_RATIO, d1_cells, d1_omega3,
+                              d1_small_sums, d1_table, d1_triples, omega3)
 
 GOLDEN = Path(__file__).parent / "golden"
 K_BIG = 2048
@@ -82,33 +83,13 @@ def _cell_sum(u, k, rows):
     return float(np.real(np.sum(prod / (FOUR_PI_SQ * om)) * _mode(u, -k)))
 
 
-class TestEnergyConfig:
-    def test_defaults_valid(self):
-        cfg = EnergyConfig()
-        assert cfg.alpha == cfg.beta == cfg.gamma == 1.0
-        assert [f.name for f in fields(cfg)] == ["alpha", "beta", "gamma", "ll_ratio"]
-        assert K_THRESHOLD == 512
-
-    # the ids keep the numbering of the cases that remain after the theta and
-    # k_threshold fields became module constants
-    @pytest.mark.parametrize("kw", [
-        pytest.param({"alpha": float("nan")}, id="kw0"),
-        pytest.param({"ll_ratio": float("nan")}, id="kw1"),
-        pytest.param({"ll_ratio": 0.0}, id="kw4"),
-        pytest.param({"ll_ratio": -1.0}, id="kw5"),
-    ])
-    def test_rejects_bad_values(self, kw):
-        with pytest.raises(ValueError):
-            EnergyConfig(**kw)
-
-
 class TestEnergyMode:
     def test_rejects_zero_and_out_of_range(self):
         u = _random_real(64)
-        with pytest.raises(ValueError):
-            energy_mode(u, 0)
-        with pytest.raises(ValueError):
-            energy_mode(u, 65)
+        # a bool is no mode, and a fractional k has no coefficient
+        for k in (0, 65, 3.5, True):
+            with pytest.raises(ValueError):
+                energy_mode(u, k)
 
     def test_below_threshold_is_quadratic(self):
         u = _random_real(K_BIG, seed=3)
@@ -128,13 +109,10 @@ class TestEnergyMode:
         assert b.total == pytest.approx(a.total, rel=1e-12)
 
     def test_weights_enter_total_only(self):
-        u = _random_real(K_BIG, seed=5)
-        base = energy_mode(u, K_MODE)
-        cfg = EnergyConfig(alpha=2.0, beta=0.5, gamma=0.0, ll_ratio=1.0)
-        rep = energy_mode(u, K_MODE, cfg)
-        assert rep.e31 == pytest.approx(base.e31, rel=1e-12)
-        assert rep.total == pytest.approx(
-            rep.quadratic + 2.0 * rep.e31 + 0.5 * rep.e32, rel=1e-12)
+        # every correction enters the total with unit coupling, bit for bit
+        rep = energy_mode(_random_real(K_BIG, seed=5), K_MODE)
+        assert rep.e31 != 0.0 and rep.e32 != 0.0
+        assert rep.total == rep.quadratic + rep.e31 + rep.e32 + rep.e5
 
     def test_repeat_call_builds_no_cell_table(self):
         u = _random_real(K_BIG, seed=6, scale=1e-3)
@@ -155,17 +133,34 @@ class TestEnergyMode:
             assert getattr(rep, key) == pytest.approx(want, rel=1e-12, abs=0.0), key
 
     def test_e5_dormant_at_default_cut(self):
-        # at k = 2^10 both resonance factors live on comparable cells, so the
-        # 2^-6 ratio cut removes every candidate pair
-        u = _random_real(K_BIG, seed=6)
-        assert energy_mode(u, K_MODE).e5 == 0.0
+        # e5 keeps a pair only where the inner |Omega3| is at least
+        # 1/LL_RATIO times the outer one. Bound that ratio without a field,
+        # over every corrected k with |k| <= K: the largest inner |Omega3| of
+        # any entry of D1(k) or of -k, over the smallest |Omega3| on D1(k).
+        assert K_THRESHOLD == 512
+        vals = d1_small_sums(K_BIG)  # every mode's small sums lie within these
+        a, b = vals[:, None], vals[None, :]
+        ki = np.arange(-K_BIG, K_BIG + 1)[:, None, None]
+        _, ok = d1_cells(ki, a, b, K_BIG)
+        inner = np.where(ok, np.abs(d1_omega3(ki, a, b)), 0).max(axis=(1, 2))
+        k = np.arange(K_THRESHOLD + 1, K_BIG + 1)
+        k = np.concatenate([k, -k])[:, None, None]
+        cells, ok = d1_cells(k, a, b, K_BIG)
+        outer = np.where(ok, np.abs(d1_omega3(k, a, b)), np.inf).min(axis=(1, 2))
+        entries = inner[np.clip(cells, -K_BIG, K_BIG) + K_BIG].max(axis=0)
+        worst = np.maximum(np.where(ok, entries, 0).max(axis=(1, 2)),
+                           inner[K_BIG - k.ravel()])
+        ratio = worst / outer
+        assert ratio.max() == pytest.approx(16.02, abs=0.01)
+        assert ratio.max() < 1 / LL_RATIO
+        assert energy_mode(_random_real(K_BIG, seed=6), K_MODE).e5 == 0.0
 
 
 class TestCorrectionOracles:
     def test_e31_matches_direct_scan(self, cells):
         u = _random_real(K_BIG, seed=7)
         want = K_MODE ** 2 * _cell_sum(u, K_MODE, cells("e31", K_MODE, K_BIG))
-        got = energy_mode(u, K_MODE, EnergyConfig()).e31
+        got = energy_mode(u, K_MODE).e31
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("K,k", [
@@ -185,11 +180,13 @@ class TestCorrectionOracles:
         ks = np.arange(K_THRESHOLD + 1, INT64_BOUND)
         assert np.all(3 * np.ceil(ks ** THETA2) <= ks)
 
-    def test_e5_matches_plain_loop(self):
+    def test_e5_matches_plain_loop(self, monkeypatch):
         # inner cells come from d1_triples (itself scan-verified in the
-        # resonance tests); this re-walks the paired sum in plain Python
+        # resonance tests); this re-walks the paired sum in plain Python.
+        # e5 is 0 at LL_RATIO (test_e5_dormant_at_default_cut), so the cut
+        # is raised to 1, where exactly resonant pairs become reachable
+        monkeypatch.setattr(energy, "LL_RATIO", 1.0)
         u = _random_real(K_BIG, seed=9)
-        cfg = EnergyConfig(ll_ratio=1.0)
         k = K_MODE
         outer = d1_triples(k, K_BIG)
         total = 0.0
@@ -205,7 +202,7 @@ class TestCorrectionOracles:
                         others = others * c
                 for irow in inner:
                     om_in = omega3(*(int(x) for x in irow))
-                    if abs(om_out) > cfg.ll_ratio * abs(om_in):
+                    if abs(om_out) > abs(om_in):
                         continue
                     if om_out + om_in == 0:  # exactly resonant pair
                         continue
@@ -213,7 +210,7 @@ class TestCorrectionOracles:
                             * _mode(u, int(irow[2])))
                     total += ki * (others * prod / (om_out * (om_out + om_in))).real
         want = k * k * total / FOUR_PI_SQ ** 2
-        got = energy_mode(u, k, cfg).e5
+        got = energy_mode(u, k).e5
         assert got != 0.0
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -222,7 +219,7 @@ class TestDriftCancellation:
     """The defining property of the corrections: under the linear flow, the
     time derivative of each correction equals minus the quadratic-energy drift
     its cells would produce through the cubic nonlinearity (default sign +1,
-    alpha = beta = 1).  Checked by central differences on exactly-evolved
+    unit couplings).  Checked by central differences on exactly-evolved
     phases, so no integrator enters.
     """
 

@@ -66,6 +66,13 @@ class TestModelConfig:
         dict(dt=float("inf")),
         dict(t_final=float("nan")),
         dict(t_final=float("inf")),
+        dict(integrator=None),
+        dict(renormalized="no"),
+        dict(dealias=1),
+        dict(sign=True),
+        dict(sign=1.0),
+        dict(dt=True),
+        dict(t_final="0.25"),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):

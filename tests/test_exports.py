@@ -1,6 +1,9 @@
 """Every exported name resolves; bench/spans.py builds its wrappers from
-these lists and silently skips a name that does not."""
+these lists and silently skips a name that does not. The golden regenerator,
+which no other test runs, imports."""
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +31,12 @@ def test_package_exports_are_layer_exports():
         # a function or class is listed where it is defined; a constant has
         # no __module__ and is listed where it is bound
         assert getattr(obj, "__module__", homes[0]) in homes, name
+
+
+def test_golden_regenerator_imports():
+    # only its import runs: main() would rewrite the goldens
+    path = Path(__file__).parent / "golden" / "regenerate.py"
+    spec = importlib.util.spec_from_file_location("regenerate", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    assert callable(mod.main)
