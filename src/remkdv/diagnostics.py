@@ -13,7 +13,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .energy import energy_mode
-from .evolve import ModelConfig, SimulationState, rhs_split, simulate, step
+from .evolve import (ModelConfig, SimulationState, _blowup, _step_rows, rhs_split,
+                     simulate)
 from .fields import (FourierField, phi_dyadic, riesz_potential, sobolev_norm,
                      space_time_norm, xsb_norm_diagnostic)
 from .pseudo import verify_ibp
@@ -352,6 +353,14 @@ class SmoothingReport:
     ratios: dict = dc_field(default_factory=dict)         # {k: dev(2eps)/dev(eps)}
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """abs(complex(x)) ** 2 of every entry of z, bit for bit: Python's abs
+    is a hypot (numpy's complex abs differs in the last bit), and a float's
+    ** 2 is libm's pow (numpy's square differs in the last bit)."""
+    amp = np.hypot(z.real, z.imag)
+    return np.array([a ** 2 for a in amp.ravel().tolist()]).reshape(amp.shape)
+
+
 def smoothing_scan(base: FourierField, model: ModelConfig, eps_list: list[float],
                    watch_modes: list[int]) -> SmoothingReport:
     """sup_t | |u^(k,t)|^2 - |u^(k,0)|^2 | per watched mode and amplitude,
@@ -360,24 +369,47 @@ def smoothing_scan(base: FourierField, model: ModelConfig, eps_list: list[float]
     The deviation is quartic in the amplitude at leading order (one cubic
     interaction paired against the mode itself), so doubling eps should
     multiply it by ~16; the report's ratios make that scaling inspectable.
-    The run keeps |u^(k)|^2 of the watched modes at every step, no states.
-    The amplitudes run one after another in eps_list order, one `step` per
-    field and time step; the first run that blows up raises BlowUpError with
-    its last finite state, at its own time.
+    The run keeps the watched coefficients at every step, no states.
+    The distinct amplitudes step together as one (m, 2K+1) coefficient
+    stack, each row bit for bit the run of `step` from eps * base. A row
+    that blows up is dropped together with the rows listed after it; the
+    scan raises BlowUpError for the first listed amplitude that blows up,
+    at its own time, with its last finite state and alpha_accum.
     """
+    if base.max_mode != model.max_mode:
+        raise ValueError("base and config max_mode differ")
     report = SmoothingReport(list(eps_list), list(watch_modes))
-    for eps in eps_list:
-        state = SimulationState(0.0, eps * base)
-        cols = {k: [abs(state.field.mode(k)) ** 2] for k in watch_modes}
-        for _ in range(model.n_steps):
-            state = step(state, model)
-            for k, col in cols.items():
-                col.append(abs(state.field.mode(k)) ** 2)
-        devs = {}
-        for k, col in cols.items():
-            col = np.array(col)
-            devs[k] = float(np.max(np.abs(col - col[0])))
-        report.sup_deviation[eps] = devs
+    amps = list(dict.fromkeys(eps_list))
+    if amps:
+        K, n = model.max_mode, model.n_steps
+        c = np.array([(eps * base).coeffs for eps in amps])
+        modes = list(dict.fromkeys(watch_modes))
+        seen = [k for k in modes if abs(k) <= K]   # the others read 0
+        pos = np.array([k + K for k in seen], dtype=np.intp)
+        picked = np.empty((n + 1, len(amps), len(seen)), dtype=complex)
+        picked[0] = c[:, pos]
+        t, alpha, mass, failed = 0.0, np.zeros(len(amps)), None, None
+        for i in range(1, n + 1):
+            nxt, mass, alpha_nxt, fault = _step_rows(c, alpha, model, mass)
+            if fault is not None:
+                j = int(np.flatnonzero(fault)[0])
+                failed = _blowup(int(fault[j]), SimulationState(
+                    t, FourierField(c[j], copy=True), float(alpha[j])))
+                if j == 0:
+                    raise failed
+                # rows after j no longer matter: an earlier row may still fail
+                nxt, mass, alpha_nxt = nxt[:j], mass[:j], alpha_nxt[:j]
+            c, alpha, t = nxt, alpha_nxt, t + model.dt
+            picked[i, :len(c)] = c[:, pos]
+        if failed is not None:
+            raise failed
+        first = _abs2(picked[0])
+        dev = np.zeros(first.shape)
+        for i in range(0, n + 1, 128):   # in blocks: few Python floats at once
+            dev = np.maximum(dev, np.max(np.abs(_abs2(picked[i:i + 128]) - first), axis=0))
+        for r, eps in enumerate(amps):
+            col = dict(zip(seen, dev[r].tolist()))
+            report.sup_deviation[eps] = {k: col.get(k, 0.0) for k in modes}
     for k in watch_modes:
         pairs = {}
         for eps in eps_list:

@@ -192,13 +192,12 @@ def default_block_floor(u: FourierField, v: FourierField) -> int:
     return 2 ** 9 * max(1, int(np.ceil(r ** 3.0)))
 
 
-def coercivity_margin(u: FourierField, v: FourierField, s_prime: float = 5.0 / 24.0,
-                      n0: int | None = None) -> float:
+def coercivity_margin(u: FourierField, v: FourierField, s_prime: float = 5.0 / 24.0) -> float:
     """Ratio of the corrected ladder energy to half the plain quadratic ladder
     (1/2) sum_N N^{2s'} ||P_N (u-v)||^2. Equals 1 exactly when every active
-    block is below n0; coercivity holds while it stays within [1/2, 2]."""
-    if n0 is None:
-        n0 = default_block_floor(u, v)
+    block is below n0 = default_block_floor(u, v); coercivity holds while it
+    stays within [1/2, 2]."""
+    n0 = default_block_floor(u, v)
     quad = diff_energy_total(u, v, math.inf, s_prime)
     if quad == 0.0:
         return 1.0

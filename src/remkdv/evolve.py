@@ -124,6 +124,13 @@ def _kernel_plan(max_mode: int, dealias: bool):
     return n, deriv_multiplier(np.arange(max_mode + 1))
 
 
+@lru_cache(maxsize=32)
+def _transport_plan(max_mode: int, dealias: bool, sign: int):
+    """The grid length and -sign d/dx, the factor every transport ends on."""
+    n, d = _kernel_plan(max_mode, dealias)
+    return n, -sign * d
+
+
 def _pocketfft():
     """scipy.fft's own pocketfft extension, if this scipy has it in the form
     checked here, else None.
@@ -191,11 +198,11 @@ def _mass_half(h: np.ndarray):
 
 def _transport(h: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Modes 0..K of -sign d/dx(u^3 [- 3 P0(u^2) u]), u real with modes h."""
-    n, d = _kernel_plan(cfg.max_mode, cfg.dealias)
+    n, sd = _transport_plan(cfg.max_mode, cfg.dealias, cfg.sign)
     cub = _cube_half(h, n)
     if cfg.renormalized:
         cub -= 3.0 * _mass_half(h) * h
-    return -cfg.sign * d * cub
+    return sd * cub
 
 
 def cubic_coefficients(u: FourierField, dealias: bool = True) -> FourierField:
@@ -232,29 +239,33 @@ def rhs(u: FourierField, config: ModelConfig) -> FourierField:
 
 @lru_cache(maxsize=32)
 def _step_plan(max_mode: int, dt: float):
-    # |E| = 1: the dispersion symbol -(2 pi i k)^3 = 8i pi^3 k^3 is a phase
+    # |E| = 1: the dispersion symbol -(2 pi i k)^3 = 8i pi^3 k^3 is a phase.
+    # dt E and 2 E are the products the stages form, cached in that operand
+    # order (complex multiplies here do not commute bit for bit)
     E = np.exp(0.5 * dt * -(deriv_multiplier(np.arange(max_mode + 1)) ** 3))
-    return E, E * E
+    return E, E * E, dt * E, 2.0 * E
 
 
 def _ifrk4_coeffs(c: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     # all four stages on modes 0..K; mirrored once, with the mean pinned
-    E, E2 = _step_plan(cfg.max_mode, cfg.dt)
+    E, E2, dtE, twoE = _step_plan(cfg.max_mode, cfg.dt)
     K, dt = cfg.max_mode, cfg.dt
     h = c[..., K:]
+    e2h = E2 * h
     k1 = _transport(h, cfg)
     k2 = _transport(E * (h + 0.5 * dt * k1), cfg)
     k3 = _transport(E * h + 0.5 * dt * k2, cfg)
-    k4 = _transport(E2 * h + dt * E * k3, cfg)
-    out = _mirror(E2 * h + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4))
+    k4 = _transport(e2h + dtE * k3, cfg)
+    out = _mirror(e2h + (dt / 6.0) * (E2 * k1 + twoE * (k2 + k3) + k4))
     out[..., K] = c[..., K]
     return out
 
 
 def _resymmetrize(out: np.ndarray, c: np.ndarray, max_mode: int) -> np.ndarray:
-    """Restore the Hermitian symmetry and pin the (exactly conserved) mean."""
-    out = 0.5 * (out + np.conj(out[::-1]))
-    out[max_mode] = c[max_mode]
+    """Restore the Hermitian symmetry and pin the (exactly conserved) mean,
+    row by row along the last axis."""
+    out = 0.5 * (out + np.conj(out[..., ::-1]))
+    out[..., max_mode] = c[..., max_mode]
     return out
 
 
@@ -417,39 +428,74 @@ def _phase_plan(max_mode: int, dt: float):
 def _exact_phase_coeffs(c: np.ndarray, cfg: ModelConfig,
                         block: int | None = None) -> np.ndarray:
     ks, E = _phase_plan(cfg.max_mode, cfg.dt)
-    lin = E * c
-    Q = _inverse_resonance_cube(np.stack([lin, c]), block)
-    v = lin - (cfg.sign * ks / (2.0 * np.pi) ** 2) * (Q[0] - E * Q[1])
+    rows = c.reshape(-1, c.shape[-1])
+    m = len(rows)
+    lin = E * rows
+    Q = _inverse_resonance_cube(np.concatenate((lin, rows)), block)
+    v = lin - (cfg.sign * ks / (2.0 * np.pi) ** 2) * (Q[:m] - E * Q[m:])
     amp = np.abs(v) ** 2
-    offset = 0.0 if cfg.renormalized else float(np.sum(amp))
+    offset = 0.0 if cfg.renormalized else np.sum(amp, axis=-1, keepdims=True)
     out = np.exp(6j * np.pi * cfg.sign * cfg.dt * ks * (amp - offset)) * v
-    return _resymmetrize(out, c, cfg.max_mode)
+    return _resymmetrize(out, rows, cfg.max_mode).reshape(c.shape)
 
 
-# name -> one step (coefficients, config) -> new coefficients
+# name -> one step (coefficients, config) -> new coefficients; both act on
+# the last axis, so a (..., 2K+1) stack steps each row bit for bit as alone
 INTEGRATORS = {
     "ifrk4": _ifrk4_coeffs,
     "exact-phase": _exact_phase_coeffs,
 }
 
+# what _step_rows reports per row: nothing, or which quantity stopped being
+# finite in the step
+_FAULTS = (None, "state", "mass")
+
+
+def _row_mass(c: np.ndarray):
+    """P0(u^2) of each row, bit for bit as FourierField.mass()."""
+    return np.add.reduce(np.abs(c) ** 2, axis=-1)
+
+
+def _step_rows(c: np.ndarray, alpha, config: ModelConfig, mass=None):
+    """One step of config.integrator on the (..., 2K+1) stack c, whose rows
+    carry the integrals alpha of P0(u^2) dt so far and, if the caller kept
+    them from the last step, the masses mass (else they are computed).
+
+    Returns (c, mass, alpha, fault) after the step. fault is None when every
+    row is good, else per row an index into _FAULTS: 0 on a good row, 1 on
+    one whose coefficients stopped being finite, 2 on one whose coefficients
+    are finite but whose mass is not. A bad row's entries are not
+    meaningful; the other rows are unaffected."""
+    # the finite checks are the contract, not numpy's overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mass is None:
+            mass = _row_mass(c)
+        out = INTEGRATORS[config.integrator.lower()](c, config)
+        new_mass = _row_mass(out)
+        alpha = alpha + 0.5 * config.dt * (mass + new_mass)
+    # from a good row, alpha stays finite exactly when the new coefficients
+    # and their mass do (a finite state whose mass overflows gives inf)
+    good = np.isfinite(alpha)
+    if good.all():
+        return out, new_mass, alpha, None
+    fault = np.where(good, 0, np.where(np.isfinite(out).all(axis=-1), 2, 1))
+    return out, new_mass, alpha, fault
+
+
+def _blowup(fault: int, last_good: SimulationState) -> BlowUpError:
+    return BlowUpError(f"{_FAULTS[fault]} became non-finite at t={last_good.t:.6g}",
+                       last_good)
+
 
 def step(state: SimulationState, config: ModelConfig) -> SimulationState:
-    """One step of config.integrator. Raises BlowUpError if the result is
-    not finite."""
+    """One step of config.integrator. Raises BlowUpError if the result or
+    its mass is not finite."""
     if state.field.max_mode != config.max_mode:
         raise ValueError("state and config max_mode differ")
-    # the finite checks below are the contract, not numpy's overflow warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        mass_old = state.field.mass()
-        c = INTEGRATORS[config.integrator.lower()](state.field.coeffs, config)
-        if not np.all(np.isfinite(c)):
-            raise BlowUpError(f"state became non-finite at t={state.t:.6g}", state)
-        nxt = FourierField(c, copy=False)
-        alpha = state.alpha_accum + 0.5 * config.dt * (mass_old + nxt.mass())
-    # a finite state whose mass overflows would carry alpha_accum = inf
-    if not math.isfinite(alpha):
-        raise BlowUpError(f"mass became non-finite at t={state.t:.6g}", state)
-    return SimulationState(state.t + config.dt, nxt, alpha)
+    c, _, alpha, fault = _step_rows(state.field.coeffs, state.alpha_accum, config)
+    if fault is not None:
+        raise _blowup(int(fault), state)
+    return SimulationState(state.t + config.dt, FourierField(c, copy=False), float(alpha))
 
 
 def simulate(u0: FourierField, config: ModelConfig,

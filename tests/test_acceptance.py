@@ -302,7 +302,7 @@ def test_criterion_7_coercivity_sandwich():
         u, v = _unit_ball_pair(C7_K, rng)
         n0 = default_block_floor(u, v)
         assert n0 >= 512  # the largeness rule keeps every resolved block plain
-        m = coercivity_margin(u, v, s_prime=C7_S_PRIME, n0=n0)
+        m = coercivity_margin(u, v, s_prime=C7_S_PRIME)
         assert lo <= m <= hi
 
     # same sandwich where the corrected blocks actually engage: pairs whose
@@ -313,7 +313,7 @@ def test_criterion_7_coercivity_sandwich():
         u, v = _unit_ball_pair(C7_LIVE_K, rng_live, target=0.45)
         n0 = default_block_floor(u, v)
         assert n0 == 512
-        m = coercivity_margin(u, v, s_prime=C7_S_PRIME, n0=n0)
+        m = coercivity_margin(u, v, s_prime=C7_S_PRIME)
         assert lo <= m <= hi
         engaged = engaged or m != 1.0
     assert engaged  # at least one live pair got a nonzero correction

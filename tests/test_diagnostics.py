@@ -272,17 +272,27 @@ class TestSmoothingScan:
     def test_streamed_equals_snapshot_path(self):
         # the scan steps and keeps only the watched modes; the deviations are
         # those of a run of the same config that keeps every state, bit for
-        # bit, for the default flow and for the plain one of the other sign
+        # bit, for the default flow, the plain one of the other sign and the
+        # exact-phase integrator
         plain = ModelConfig(max_mode=32, dt=1e-3, t_final=0.02, sign=-1,
                             renormalized=False)
-        for cfg in (SMALL, plain):
-            rep = smoothing_scan(BASE, cfg, [0.05, 0.1], [8, 16, 8, 31])
+        exact = ModelConfig(max_mode=16, dt=1e-3, t_final=0.02, integrator="exact-phase")
+        for cfg in (SMALL, plain, exact):
+            base = decaying_profile(cfg.max_mode, 1.0, 2.0, seed=0)
+            rep = smoothing_scan(base, cfg, [0.05, 0.1], [8, 16, 8, 31])
             for eps in (0.05, 0.1):
-                snaps = simulate(eps * BASE, cfg, sample_every=1).snapshots
+                snaps = simulate(eps * base, cfg, sample_every=1).snapshots
                 assert len(snaps) == 21
                 for k in (8, 16, 31):
                     col = np.array([abs(s.field.mode(k)) ** 2 for s in snaps])
                     assert rep.sup_deviation[eps][k] == float(np.max(np.abs(col - col[0])))
+
+    def test_watched_modes_read_as_a_single_field_does(self):
+        # the scan reads |u^(k)|^2 off the stack as abs(complex) ** 2; numpy's
+        # complex abs and its square each differ from those in the last bit
+        z = np.random.default_rng(3).standard_normal((2, 10000)).view(complex)
+        assert diagnostics._abs2(z).tolist() == [[abs(complex(x)) ** 2 for x in row]
+                                                 for row in z]
 
     def test_edge_cases_keep_their_values(self):
         # the values of separate one-amplitude runs at K = 32: a mode beyond
@@ -324,6 +334,30 @@ class TestSmoothingScan:
         assert np.array_equal(last.field.coeffs, want.field.coeffs)
         assert np.all(np.isfinite(last.field.coeffs))
         assert last.alpha_accum == want.alpha_accum
+
+    def test_mass_overflow_of_one_row(self):
+        # 0.3 keeps finite coefficients (near 1e3 at t = 0.4) whose step from
+        # there overflows the mass; 100.0, listed after it, overflows at
+        # t = 0 and is dropped; 0.01 runs on to t_final
+        base = single_mode_profile(16, 1.0)
+        cfg = ModelConfig(max_mode=16, dt=0.1, t_final=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError, match=r"mass became non-finite at t=0.4$") as info:
+                smoothing_scan(base, cfg, [0.01, 0.3, 100.0], [1, 2])
+            state = SimulationState(0.0, 0.3 * base)
+            with pytest.raises(BlowUpError, match=r"mass became non-finite at t=0.4$") as alone:
+                for _ in range(cfg.n_steps):
+                    state = step(state, cfg)
+        last, want = info.value.last_good, alone.value.last_good
+        assert last.t == want.t
+        assert np.array_equal(last.field.coeffs, want.field.coeffs)
+        assert np.all(np.isfinite(last.field.coeffs))
+        assert last.alpha_accum == want.alpha_accum and np.isfinite(last.alpha_accum)
+        # two rows failing in one step: the first listed is the one reported
+        with pytest.raises(BlowUpError, match=r"mass became non-finite at t=0$") as info:
+            smoothing_scan(base, cfg, [100.0, 200.0], [1])
+        assert np.array_equal(info.value.last_good.field.coeffs, (100.0 * base).coeffs)
 
 
 DRIFT = ModelConfig(max_mode=64, dt=1e-3, t_final=0.02)

@@ -26,7 +26,7 @@ from remkdv.evolve import (
     step,
 )
 from remkdv.evolve import (_cube_half, _exact_phase_coeffs, _ifrk4_coeffs,
-                           _inverse_resonance_cube, _kernel_plan)
+                           _inverse_resonance_cube, _kernel_plan, _step_rows)
 from remkdv.fields import FourierField, deriv_multiplier
 
 
@@ -431,6 +431,43 @@ class TestBatchedStep:
         got = _ifrk4_coeffs(np.array(rows), cfg)
         for g, r in zip(got, rows):
             assert np.array_equal(g, _ifrk4_coeffs(r, cfg))
+
+    @pytest.mark.parametrize("renormalized", [True, False])
+    @pytest.mark.parametrize("K", [16, 64])
+    def test_exact_phase_stack_equals_single_rows_bitwise(self, K, renormalized):
+        cfg = ModelConfig(max_mode=K, dt=1e-4, t_final=1e-4, renormalized=renormalized,
+                          integrator="exact-phase")
+        base = decaying_profile(K, 1.0, 2.0, seed=5).coeffs
+        rows = [eps * base for eps in (0.1, 0.3, 1.0)]
+        stack = np.array(rows)
+        for _ in range(3):
+            stack = _exact_phase_coeffs(stack, cfg)
+            rows = [_exact_phase_coeffs(r, cfg) for r in rows]
+        assert stack.shape == (3, 2 * K + 1) and np.all(np.isfinite(stack))
+        for got, want in zip(stack, rows):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("integrator", sorted(INTEGRATORS))
+    def test_row_stepper_is_step_per_row(self, integrator):
+        # states, masses and alpha_accum of a stack stepped together are
+        # those of step on each field alone, bit for bit, and alpha_accum is
+        # the trapezoid sum of the fields' masses
+        cfg = ModelConfig(max_mode=16, dt=1e-3, t_final=1e-3, integrator=integrator)
+        base = decaying_profile(16, 1.0, 2.0, seed=5)
+        states = [SimulationState(0.0, eps * base) for eps in (0.1, 0.5, 1.0)]
+        c, alpha, mass = np.array([s.field.coeffs for s in states]), np.zeros(3), None
+        trap = [0.0] * 3
+        for _ in range(5):
+            c, mass, alpha, fault = _step_rows(c, alpha, cfg, mass)
+            old = [s.field.mass() for s in states]
+            states = [step(s, cfg) for s in states]
+            trap = [a + 0.5 * cfg.dt * (m + s.field.mass())
+                    for a, m, s in zip(trap, old, states)]
+            assert fault is None
+        for r, s in enumerate(states):
+            assert np.array_equal(c[r], s.field.coeffs)
+            assert mass[r] == s.field.mass()
+            assert alpha[r] == s.alpha_accum == trap[r]
 
 
 def _triples(K, k, first=None):

@@ -1,8 +1,9 @@
 """Every exported name resolves; bench/spans.py builds its wrappers from
 these lists and silently skips a name that does not. The golden regenerator,
-which no other test runs, imports."""
+which no other test runs, imports, and its smoothing record is the file's."""
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -33,10 +34,30 @@ def test_package_exports_are_layer_exports():
         assert getattr(obj, "__module__", homes[0]) in homes, name
 
 
-def test_golden_regenerator_imports():
+def _regenerator():
     # only its import runs: main() would rewrite the goldens
     path = Path(__file__).parent / "golden" / "regenerate.py"
     spec = importlib.util.spec_from_file_location("regenerate", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    assert callable(mod.main)
+    return mod
+
+
+def test_golden_regenerator_imports():
+    assert callable(_regenerator().main)
+
+
+def test_smoothing_golden_is_what_the_regenerator_writes():
+    # criterion 8's 20% band would hide a drift of the file from the code;
+    # this pins every recorded number at round-off
+    got = _regenerator().smoothing_baseline()
+    want = json.loads((Path(__file__).parent / "golden" / "smoothing.json").read_text())
+    assert got["config"] == want["config"]
+    assert got["ratios"].keys() == want["ratios"].keys()
+    for k, ratio in want["ratios"].items():
+        assert got["ratios"][k] == pytest.approx(ratio, rel=1e-9, abs=0)
+    assert got["sup_deviation"].keys() == want["sup_deviation"].keys()
+    for eps, devs in want["sup_deviation"].items():
+        assert got["sup_deviation"][eps].keys() == devs.keys()
+        for k, dev in devs.items():
+            assert got["sup_deviation"][eps][k] == pytest.approx(dev, rel=1e-9, abs=0)
