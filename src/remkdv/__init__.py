@@ -19,6 +19,10 @@ The package has six small layers:
 
 __version__ = "0.1.0"
 
+# numpy loads numpy.random on first use; loading it here keeps that import
+# out of the first seeded draw of a run
+import numpy.random  # noqa: E402,F401
+
 from .energy import (EnergyReport, coercivity_margin, diff_energy_dyadic,
                      diff_energy_total, energy_mode)
 from .evolve import (BlowUpError, ModelConfig, SimulationResult,

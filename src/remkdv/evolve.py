@@ -26,12 +26,13 @@ L2 drift is a direct measure of time-stepping error.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
+from . import _fft
 from .fields import FourierField, deriv_multiplier
 
 __all__ = [
@@ -120,7 +121,7 @@ class BlowUpError(RuntimeError):
 @lru_cache(maxsize=32)
 def _kernel_plan(max_mode: int, dealias: bool):
     """Real grid length of the cubic, and d/dx on the modes 0..K."""
-    n = scipy.fft.next_fast_len(4 * max_mode + 1, real=True) if dealias else 2 * max_mode + 1
+    n = _fft.next_fast_len(4 * max_mode + 1, real=True) if dealias else 2 * max_mode + 1
     return n, deriv_multiplier(np.arange(max_mode + 1))
 
 
@@ -131,52 +132,46 @@ def _transport_plan(max_mode: int, dealias: bool, sign: int):
     return n, -sign * d
 
 
-def _pocketfft():
-    """scipy.fft's own pocketfft extension, if this scipy has it in the form
-    checked here, else None.
-
-    The cubic calls its r2c/c2r directly: the same transforms, bit for bit,
-    without scipy.fft's per-call Python layer (backend dispatch, argument
-    conversion, zero padding), which at K = 256 costs about as much as the
-    transforms themselves. The module is private, so it is probed once on a
-    small input against the public functions; on any mismatch or error the
-    cubic uses scipy.fft.irfft/rfft instead."""
-    try:
-        from scipy.fft._pocketfft import pypocketfft as pf
-        x = np.array([0.5, -2.0, 1.25, 3.0, -0.75])
-        h = scipy.fft.rfft(x, norm="forward")
-        if (np.array_equal(pf.r2c(x, (-1,), True, 2, None, 1), h)
-                and np.array_equal(pf.c2r(h, (-1,), 5, False, 0, None, 1),
-                                   scipy.fft.irfft(h, 5, norm="forward"))):
-            return pf
-    except Exception:
-        pass
-    return None
-
-
-_PF = _pocketfft()
-
-
 # The IFRK4 kernel below acts on the last axis: h is (..., K+1) and c is
 # (..., 2K+1), so one irfft/rfft pair per stage steps a stack of independent
 # fields, each row bit for bit as if it were stepped alone.
+
+class _CubeBuffers(threading.local):
+    """The padded spectrum, grid and spectrum arrays of _cube_half, one set
+    per (stack shape, grid length) and per thread, so that the kernel stays
+    reentrant across threads. Reusing them keeps a K = 2048 stage from
+    handing its ~70 KB temporaries back to the OS and faulting them in again
+    at the next stage."""
+
+    def __init__(self):
+        self.by_key = {}
+
+    def get(self, shape: tuple, n: int):
+        arrays = self.by_key.get((shape, n))
+        if arrays is None:
+            if len(self.by_key) >= 8:   # a scan uses one or two shapes at a time
+                self.by_key.clear()
+            half = shape[:-1] + (n // 2 + 1,)
+            arrays = (np.zeros(half, complex), np.empty(shape[:-1] + (n,)),
+                      np.empty(half, complex))
+            self.by_key[(shape, n)] = arrays
+        return arrays
+
+
+_CUBE_BUFFERS = _CubeBuffers()
+
 
 def _cube_half(h: np.ndarray, n: int) -> np.ndarray:
     """Modes 0..K of u^3, u real with modes 0..K = h, on n grid points. With
     n >= 4K+1 the pointwise cube is the exact Galerkin truncation (u^3 has
     modes up to 3K, and 4K+1 >= 3K + K + 1 leaves no wraparound in the
-    retained band); n = 2K+1 aliases."""
+    retained band); n = 2K+1 aliases. The result is a new array."""
     m = h.shape[-1]
-    if _PF is None:
-        vals = scipy.fft.irfft(h, n, norm="forward")
-    else:  # what irfft(h, n, norm="forward") does after its argument checks
-        pad = np.zeros(h.shape[:-1] + (n // 2 + 1,), complex)
-        pad[..., :m] = h
-        vals = _PF.c2r(pad, (-1,), n, False, 0, None, 1)
+    pad, vals, spec = _CUBE_BUFFERS.get(h.shape, n)
+    pad[..., :m] = h             # the modes above m stay zero
+    _fft.irfft(pad, n, norm="forward", out=vals)
     vals *= vals * vals
-    if _PF is None:
-        return scipy.fft.rfft(vals, norm="forward")[..., :m]
-    return _PF.r2c(vals, (-1,), True, 2, None, 1)[..., :m]
+    return _fft.rfft(vals, norm="forward", out=spec)[..., :m].copy()
 
 
 def _mirror(h: np.ndarray) -> np.ndarray:
@@ -325,14 +320,14 @@ def _cube_plan(max_mode: int, block: int):
         t = w / (np.arange(L)[:, None] - nodes[None, :])
         lam = t / t.sum(axis=1, keepdims=True)   # barycentric Lagrange basis
     nv = np.arange(-(L - 1 + A), L + A)
-    m1 = scipy.fft.next_fast_len(2 * (L + A) - 1)
-    m2 = scipy.fft.next_fast_len(2 * W + L - 2)
+    m1 = _fft.next_fast_len(2 * (L + A) - 1)
+    m2 = _fft.next_fast_len(2 * W + L - 2)
     shift = (2 * W - 2 + np.arange(L))[:, None] * np.arange(m2)[None, :] % m2
     tw = np.exp(2j * np.pi * shift / m2) / m2
     rnn = _cauchy(np.arange(L)[:, None] - np.arange(W)[None, :] + A)
     rn = _cauchy(nv)
-    m3 = scipy.fft.next_fast_len(8 * max_mode + 1)
-    rhat = scipy.fft.fft(_cauchy(np.arange(-2 * max_mode, 2 * max_mode + 1)), m3)
+    m3 = _fft.next_fast_len(8 * max_mode + 1)
+    rhat = _fft.fft(_cauchy(np.arange(-2 * max_mode, 2 * max_mode + 1)), m3)
     for arr in (nodes, lam, nv, tw, rnn, rn, rhat):
         arr.setflags(write=False)
     return A, W, nodes, lam, nv, rn, m1, m2, tw, rnn, m3, rhat
@@ -354,7 +349,7 @@ def _inverse_resonance_cube(g: np.ndarray, block: int | None = None) -> np.ndarr
     spec = np.zeros((m, N), dtype=np.complex128)
     spec[:, :K + 1] = g[:, K:]
     spec[:, N - K:] = g[:, :K]
-    gx = scipy.fft.ifft(spec, axis=-1, norm="forward")
+    gx = _fft.ifft(spec, axis=-1, norm="forward")
     pad = 2 * W + L
     gp = np.zeros((m, n2 + 2 * pad), dtype=np.complex128)
     gp[:, pad:pad + n2] = g
@@ -374,11 +369,11 @@ def _inverse_resonance_cube(g: np.ndarray, block: int | None = None) -> np.ndarr
             R[:, lo + K:hi + K + 1] = 0.0
             np.multiply(g[:, None, K:], R[None, :, K:], out=buf[..., :K + 1])
             np.multiply(g[:, None, :K], R[None, :, :K], out=buf[..., N - K:])
-            Y = scipy.fft.ifft(buf, axis=-1, norm="forward")
+            Y = _fft.ifft(buf, axis=-1, norm="forward")
             prod = Y * gx[:, None, :]
-            V = scipy.fft.fft(prod, axis=-1, norm="forward")
+            V = _fft.fft(prod, axis=-1, norm="forward")
             prod *= Y
-            F = scipy.fft.fft(prod, axis=-1, norm="forward", overwrite_x=True)
+            F = _fft.fft(prod, axis=-1, norm="forward", out=prod)
             ff = F[..., kk % N]
             if kk[-1] >= K:      # the 4K grid folds a = b = c = -K onto k = K
                 ff[..., K - k0] -= buf[..., N - K] ** 2 * g[:, None, 0]
@@ -386,21 +381,20 @@ def _inverse_resonance_cube(g: np.ndarray, block: int | None = None) -> np.ndarr
             # one factor near, one far: sum_a g_a r(k-a) V_q(k-a) over the zone
             wv = V[..., nv % N] * rn
             gn = gp[:, off + a0:off + a0 + W]
-            cv = scipy.fft.ifft(scipy.fft.fft(gn, m1, axis=-1)[:, None, :]
-                                * scipy.fft.fft(wv, m1, axis=-1),
-                                axis=-1, overwrite_x=True)
+            cv = _fft.fft(gn, m1, axis=-1)[:, None, :] * _fft.fft(wv, m1, axis=-1)
+            _fft.ifft(cv, axis=-1, out=cv)
             blk += 2.0 * np.einsum("kq,mqk->mk", lam,
                                    cv[..., L - 1 + 2 * A:2 * L - 1 + 2 * A])
         # both factors near: one short FFT self-convolution per output, in
         # row chunks that stay in cache
         clo = k0 - 2 * a0 - (2 * W - 2)
-        gw = scipy.fft.fft(gp[:, off + clo:off + clo + 2 * W + L - 2], m2, axis=-1)
+        gw = _fft.fft(gp[:, off + clo:off + clo + 2 * W + L - 2], m2, axis=-1)
         for j0 in range(0, L, NEAR_ROWS):
             j1 = min(j0 + NEAR_ROWS, L)
             zb = zbuf[:, :j1 - j0]
             np.multiply(gp[:, None, off + a0:off + a0 + W], rnn[None, j0:j1],
                         out=zb[..., :W])
-            Z = scipy.fft.fft(zb, axis=-1)
+            Z = _fft.fft(zb, axis=-1)
             Z *= Z
             Z *= gw[:, None, :]
             blk[:, j0:j1] += np.einsum("mjx,jx->mj", Z, tw[j0:j1])
@@ -408,7 +402,7 @@ def _inverse_resonance_cube(g: np.ndarray, block: int | None = None) -> np.ndarr
         D[:, K + kk[ok]] = blk[:, ok]
     # remove a + b = 0: g_k sum_a g_a g_-a / (k^2 - a^2) over a != +-k
     q = g * g[:, ::-1]
-    hq = scipy.fft.ifft(scipy.fft.fft(q, m3, axis=-1) * rhat, axis=-1)
+    hq = _fft.ifft(_fft.fft(q, m3, axis=-1) * rhat, axis=-1)
     ks = np.arange(1, K + 1)
     D[:, K + 1:] -= g[:, K + 1:] / ks * (hq[:, ks + 3 * K] - q[:, K + 1:] / (2 * ks))
     Q = np.zeros_like(D)

@@ -14,7 +14,8 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.fft
+
+from . import _fft
 
 __all__ = [
     "FourierField",
@@ -171,7 +172,7 @@ def synthesize(field: FourierField, n_points: int) -> np.ndarray:
     spec = np.zeros(n_points, dtype=np.complex128)
     ks = field.modes
     spec[ks % n_points] = field.coeffs
-    vals = scipy.fft.ifft(spec) * n_points
+    vals = _fft.ifft(spec) * n_points
     return np.real(vals)
 
 
@@ -184,7 +185,7 @@ def evaluate(samples: np.ndarray, max_mode: int) -> FourierField:
     n = samples.size
     if n < 2 * max_mode + 1:
         raise ValueError(f"need at least {2 * max_mode + 1} samples for max_mode {max_mode}")
-    spec = scipy.fft.fft(samples) / n
+    spec = _fft.fft(samples) / n
     ks = np.arange(-max_mode, max_mode + 1)
     return FourierField(spec[ks % n], copy=False)
 
@@ -368,8 +369,8 @@ def xsb_norm_diagnostic(snapshots: Sequence[FourierField], times: Sequence[float
     windowed = traj * twist * window[:, None]
 
     # F_t approx dt * DFT; quadrature weight dtau = 1/(J*dt).
-    spec = scipy.fft.fft(windowed, axis=0) * dt
-    tau = scipy.fft.fftfreq(J, d=dt)
+    spec = _fft.fft(windowed, axis=0) * dt
+    tau = np.fft.fftfreq(J, d=dt)
     wt_tau = (1.0 + tau ** 2) ** b
     wt_k = (1.0 + ks.astype(np.float64) ** 2) ** s
     total = np.sum(wt_k[None, :] * wt_tau[:, None] * np.abs(spec) ** 2) / (J * dt)

@@ -1,16 +1,18 @@
 """Solver tests: config validation and the integrator registry, the exact
-Galerkin cubic and its direct pocketfft calls, tendency algebra,
+Galerkin cubic, its pocketfft calls and reused work arrays, tendency algebra,
 conservation and fixed points, local step order, the half-spectrum IFRK4
 step against a full-spectrum reference and on stacks of fields, the
 exact-phase step against direct triple sums, snapshot bookkeeping, blow-up
 reporting, and the gauge maps."""
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from remkdv import evolve
+from remkdv import _fft
 from remkdv.diagnostics import decaying_profile, single_mode_profile
 from remkdv.evolve import (
     INTEGRATORS,
@@ -25,7 +27,8 @@ from remkdv.evolve import (
     simulate,
     step,
 )
-from remkdv.evolve import (_cube_half, _exact_phase_coeffs, _ifrk4_coeffs,
+from remkdv.evolve import (_cube_half, _cube_plan, _default_block,
+                           _exact_phase_coeffs, _ifrk4_coeffs,
                            _inverse_resonance_cube, _kernel_plan, _step_rows)
 from remkdv.fields import FourierField, deriv_multiplier
 
@@ -139,15 +142,71 @@ class TestCubic:
     @pytest.mark.parametrize("K, dealias", [(4, True), (6, True), (6, False),
                                             (256, True), (2048, True)])
     def test_direct_pocketfft_equals_public_scipy_fft(self, K, dealias, monkeypatch):
-        # the cubic calls scipy's pocketfft extension without scipy.fft's
-        # Python layer; the result must be the public functions' bit for bit
+        # the cubic's c2r/r2c run on scipy's compiled pocketfft module,
+        # loaded without scipy.fft; they and the cube must be the public
+        # scipy.fft and numpy.fft functions' bit for bit, on the module and
+        # on its numpy.fft fallback alike
         n = _kernel_plan(K, dealias)[0]
         h = np.array([_random_real(K, seed=s, scale=1.0).coeffs[K:] for s in (1, 2)])
-        got = [_cube_half(h, n), _cube_half(h[1], n)]
-        monkeypatch.setattr(evolve, "_PF", None)
-        want = [_cube_half(h, n), _cube_half(h[1], n)]
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and np.array_equal(g, w)
+        pad = np.zeros((2, n // 2 + 1), dtype=np.complex128)
+        pad[:, :K + 1] = h
+        vals = scipy.fft.irfft(h, n, norm="forward")
+        vals *= vals * vals
+        cube = scipy.fft.rfft(vals, norm="forward")[:, :K + 1]
+        for pf in (_fft._PF, None):
+            monkeypatch.setattr(_fft, "_PF", pf)
+            for ref in (scipy.fft, np.fft):
+                for norm in (None, "forward"):
+                    grid = _fft.irfft(pad, n, norm=norm)
+                    assert np.array_equal(grid, ref.irfft(pad, n, norm=norm))
+                    assert np.array_equal(_fft.irfft(h, n, norm=norm), grid)
+                    assert np.array_equal(_fft.rfft(grid, norm=norm),
+                                          ref.rfft(grid, norm=norm))
+            out = np.empty((2, n))
+            assert _fft.irfft(pad, n, norm="forward", out=out) is out
+            spec = np.empty((2, n // 2 + 1), dtype=np.complex128)
+            assert _fft.rfft(out, norm="forward", out=spec) is spec
+            for got, want in ((_cube_half(h, n), cube), (_cube_half(h[1], n), cube[1])):
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("K", [64, 2048])
+    def test_exact_phase_transforms_equal_public_ones(self, K, monkeypatch):
+        # the exact-phase kernel's c2c transforms at its zero-padded lengths
+        # m1, m2, m3 and the 4K grid, along the last axis and along axis 0,
+        # out of place and in place
+        A, W, nodes, lam, nv, rn, m1, m2, tw, rnn, m3, rhat = _cube_plan(K, _default_block(K))
+        L, rng = _default_block(K), np.random.default_rng(K)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        cases = [(cplx(2, 4 * K), {"norm": "forward"}), (cplx(2, 3, 4 * K), {}),
+                 (cplx(2, W), {"n": m1}), (cplx(2, 3, 4 * L - 1), {"n": m1}),
+                 (cplx(2, 2 * W + L - 2), {"n": m2}), (cplx(2, 5, m2), {}),
+                 (cplx(2, 2 * K + 1), {"n": m3}), (cplx(9, 2 * K + 1), {"axis": 0}),
+                 (cplx(2, 4 * K), {"n": 4 * K - 3})]
+        reals = [(rng.standard_normal(4 * K + 1), {"n": m3}),
+                 (rng.standard_normal(2 * K + 1), {}),
+                 (rng.standard_normal((9, 5)), {"axis": 0, "norm": "forward"})]
+        for pf in (_fft._PF, None):
+            monkeypatch.setattr(_fft, "_PF", pf)
+            for x, kw in cases + reals:
+                refs = (scipy.fft, np.fft) if np.iscomplexobj(x) else (scipy.fft,)
+                for name in ("fft", "ifft"):
+                    got = getattr(_fft, name)(x, **kw)
+                    for ref in refs:
+                        assert np.array_equal(got, getattr(ref, name)(x, **kw)), (name, kw)
+                    if "n" not in kw and np.iscomplexobj(x):
+                        y = x.copy()
+                        assert getattr(_fft, name)(y, **kw, out=y) is y
+                        assert np.array_equal(y, got)
+
+    @pytest.mark.parametrize("K, block", [(16, 2), (256, None)])
+    def test_inverse_resonance_cube_without_the_module(self, K, block, monkeypatch):
+        g = np.array([_random_real(K, seed=s, scale=1.0).coeffs for s in (3, 4)])
+        got = _inverse_resonance_cube(g, block)
+        monkeypatch.setattr(_fft, "_PF", None)
+        assert np.array_equal(_inverse_resonance_cube(g, block), got)
 
     def test_matches_triple_convolution(self):
         K = 6
@@ -446,6 +505,71 @@ class TestBatchedStep:
         assert stack.shape == (3, 2 * K + 1) and np.all(np.isfinite(stack))
         for got, want in zip(stack, rows):
             assert np.array_equal(got, want)
+
+    def test_cube_results_outlive_the_next_call(self):
+        # the kernel reuses its work arrays per stack shape; what it returns
+        # must not
+        K = 32
+        n = _kernel_plan(K, True)[0]
+        h1, h2 = (_random_real(K, seed=s, scale=1.0).coeffs[K:] for s in (1, 2))
+        first = _cube_half(h1, n)
+        kept = first.copy()
+        second = _cube_half(h2, n)
+        assert np.array_equal(first, kept) and not np.shares_memory(first, second)
+        assert np.array_equal(_cube_half(h1, n), kept)
+
+    def test_interleaved_shapes_equal_separate_runs(self):
+        # a (2, 2K+1) stack and a single row at two K, stepped in turn,
+        # against each run on its own
+        runs = []
+        for K in (16, 64):
+            cfg = ModelConfig(max_mode=K, dt=1e-4, t_final=1e-4)
+            base = decaying_profile(K, 1.0, 2.0, seed=5).coeffs
+            runs += [(cfg, np.array([0.1 * base, 0.3 * base])), (cfg, 0.2 * base)]
+        alone = []
+        for cfg, c in runs:
+            for _ in range(5):
+                c = _ifrk4_coeffs(c, cfg)
+            alone.append(c)
+        states = [c for _, c in runs]
+        for _ in range(5):
+            states = [_ifrk4_coeffs(c, cfg) for (cfg, _), c in zip(runs, states)]
+        for got, want in zip(states, alone):
+            assert np.array_equal(got, want)
+
+    def test_threads_step_alone(self):
+        # the work arrays are per thread: four threads (more than the cores
+        # here) stepping fields of one shape at a short switch interval give
+        # each field's single-threaded result
+        K = 256
+        cfg = ModelConfig(max_mode=K, dt=1e-4, t_final=1e-4)
+        base = decaying_profile(K, 1.0, 2.0, seed=5).coeffs
+        starts = [eps * base for eps in (0.05, 0.1, 0.2, 0.4)]
+
+        def run(c):
+            for _ in range(200):
+                c = _ifrk4_coeffs(c, cfg)
+            return c
+
+        want = [run(c) for c in starts]
+        got = [None] * len(starts)
+
+        def work(i):
+            got[i] = run(starts[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(starts))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, w in zip(got, want):
+            assert g is not None and np.array_equal(g, w)
 
     @pytest.mark.parametrize("integrator", sorted(INTEGRATORS))
     def test_row_stepper_is_step_per_row(self, integrator):
