@@ -9,6 +9,8 @@ The module is private to scipy, so it is checked once, bit for bit against
 numpy.fft on a small input. If it cannot be loaded or the check fails, every
 function here runs on numpy.fft instead, which gives the same bits: numpy's
 transforms are the same pocketfft code, only its real ones are slower.
+scipy_version reads scipy's version the same way, from its version file,
+so that nothing of the package imports scipy.
 
 The functions take numpy.fft's arguments, with norm None, "backward" or
 "forward" ("ortho" scales differently in the last bit between the two and is
@@ -25,10 +27,32 @@ import sys
 
 import numpy as np
 
-__all__ = ["fft", "ifft", "rfft", "irfft", "next_fast_len"]
+__all__ = ["fft", "ifft", "rfft", "irfft", "next_fast_len", "scipy_version"]
 
 _NAME = "scipy.fft._pocketfft.pypocketfft"
 _INORM = {None: 0, "backward": 0, "forward": 2}
+
+
+def _scipy_dir() -> str | None:
+    """The directory of the installed scipy package, found without importing
+    it; None if scipy is missing."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    return scipy.submodule_search_locations[0]
+
+
+def scipy_version() -> str | None:
+    """scipy.__version__, read from scipy/version.py without importing scipy
+    (an import costs about 11 ms); None if scipy or that file is missing."""
+    where = _scipy_dir()
+    path = None if where is None else os.path.join(where, "version.py")
+    if path is None or not os.path.isfile(path):
+        return None
+    spec = importlib.util.spec_from_file_location("_scipy_version", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
 
 
 def _load():
@@ -36,10 +60,10 @@ def _load():
     fresh load of its extension file; None if scipy or the file is missing."""
     if _NAME in sys.modules:
         return sys.modules[_NAME]
-    scipy = importlib.util.find_spec("scipy")
-    if scipy is None or not scipy.submodule_search_locations:
+    scipy = _scipy_dir()
+    if scipy is None:
         return None
-    where = os.path.join(scipy.submodule_search_locations[0], "fft", "_pocketfft")
+    where = os.path.join(scipy, "fft", "_pocketfft")
     finder = importlib.machinery.FileFinder(
         where, (importlib.machinery.ExtensionFileLoader,
                 importlib.machinery.EXTENSION_SUFFIXES))

@@ -18,14 +18,16 @@ import contextlib
 import csv
 import functools
 import json
+# argparse's gettext imports locale when main builds its parser; importing
+# it with the module keeps that import out of the run
+import locale  # noqa: F401
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
-from . import __version__
+from . import __version__, _fft
 from .diagnostics import (decaying_profile, energy_drift_scan, norms_report,
                           profile_from_csv, run_identity_suites,
                           single_mode_profile, smoothing_scan)
@@ -231,7 +233,7 @@ def _write(out_dir: Path, command: str, cfg: dict, results: dict,
         "config": cfg,
         "results": results,
         "versions": {"remkdv": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+                     "scipy": _fft.scipy_version()},
     }
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

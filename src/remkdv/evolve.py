@@ -492,10 +492,10 @@ def step(state: SimulationState, config: ModelConfig) -> SimulationState:
     return SimulationState(state.t + config.dt, FourierField(c, copy=False), float(alpha))
 
 
-def simulate(u0: FourierField, config: ModelConfig,
-             sample_every: int | None = None) -> SimulationResult:
-    """Run from t=0 to t_final. sample_every=m keeps every m-th state
-    (plus the initial and final ones); None keeps only the endpoints."""
+def _run(u0: FourierField, config: ModelConfig, sample_every: int | None):
+    """The states simulate keeps, each yielded as the run reaches it: t = 0,
+    every sample_every-th step (none if None) and the last. A yielded state
+    is the one stepped on from, so a caller that keeps it keeps a copy."""
     u0.require_real()
     if u0.max_mode != config.max_mode:
         raise ValueError("initial data max_mode differs from config")
@@ -503,12 +503,20 @@ def simulate(u0: FourierField, config: ModelConfig,
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     state = SimulationState(0.0, u0.copy())
     n = config.n_steps
-    snaps = [SimulationState(state.t, state.field.copy(), state.alpha_accum)]
+    yield state
     for i in range(1, n + 1):
         state = step(state, config)
         if i == n or (sample_every is not None and i % sample_every == 0):
-            snaps.append(SimulationState(state.t, state.field.copy(),
-                                         state.alpha_accum))
+            yield state
+
+
+def simulate(u0: FourierField, config: ModelConfig,
+             sample_every: int | None = None) -> SimulationResult:
+    """Run from t=0 to t_final. sample_every=m keeps every m-th state
+    (plus the initial and final ones); None keeps only the endpoints."""
+    snaps = []
+    for state in _run(u0, config, sample_every):
+        snaps.append(SimulationState(state.t, state.field.copy(), state.alpha_accum))
     times = np.array([s.t for s in snaps])
     return SimulationResult(final=state, times=times, snapshots=snaps)
 

@@ -4,6 +4,7 @@ command-line wrapper (exit codes, outputs, determinism)."""
 import itertools
 import json
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from remkdv.diagnostics import (
     suite_partition,
     suite_resonance,
 )
+from remkdv.energy import energy_mode
 from remkdv.evolve import BlowUpError, ModelConfig, SimulationState, simulate, step
 from remkdv.fields import FourierField, phi_dyadic, sobolev_norm
 
@@ -178,6 +180,28 @@ class TestSkewSums:
         assert scale > 0
         assert abs(imag) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("cutoff,k", [(1, 3), (4, -5), (6, 7)])
+    def test_sextic_matches_the_triple_loop(self, cutoff, k):
+        # a non-Hermitian field, so that the imaginary part is nonzero; the
+        # modes k1 = k - k2 - k3 past max_mode = 8 read 0
+        rng = np.random.default_rng(cutoff)
+        u = FourierField(rng.standard_normal(17) + 1j * rng.standard_normal(17))
+        assert not u.is_real()
+        r = range(-cutoff, cutoff + 1)
+        value, scale = 0j, 0.0
+        for k2, k3, k42 in itertools.product(r, r, r):
+            sig, k43 = k2 + k3, -(k2 + k3) - k42
+            if sig != 0 and abs(k43) <= cutoff:
+                k1 = k - sig
+                term = (k / sig * u.mode(k1) * u.mode(k2) * u.mode(k3)
+                        * u.mode(-k1) * u.mode(k42) * u.mode(k43))
+                value += term
+                scale += abs(term)
+        got, got_scale = sextic_skew_sum(u, k, cutoff)
+        assert abs(value.imag) > 1e-3 * scale
+        assert got_scale == pytest.approx(scale, rel=1e-13)
+        assert abs(got - value.imag) <= 1e-13 * scale
+
 
 class TestSuites:
     def test_quick_bundle_passes(self):
@@ -187,6 +211,18 @@ class TestSuites:
         assert len(set(names)) == len(names)
         for c in checks:
             assert c.passed, f"{c.name}: residual {c.residual} > tol {c.tol}"
+
+    def test_skew_suite_holds_no_lattice_cube(self):
+        # the sextic sum at cutoff 16 holds one (2c+1)^3 complex array of
+        # terms, 0.57 MB, not the index grids and gathers it is built from
+        diagnostics.suite_skew(0)
+        tracemalloc.start()
+        try:
+            diagnostics.suite_skew(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_partition_suite_standalone(self):
         for c in suite_partition(bound=16):
@@ -387,6 +423,53 @@ class TestEnergyDriftScan:
         assert exact.drift_quadratic != ifrk4.drift_quadratic
         with pytest.raises(ValueError, match="unknown integrator"):
             ModelConfig(max_mode=64, dt=1e-3, t_final=0.02, integrator="euler")
+
+    @pytest.mark.parametrize("sample_every,kept", [(3, 8), (25, 2)])
+    def test_equals_simulate_then_energy_mode(self, sample_every, kept):
+        # the states simulate keeps, bit for bit: 20 steps every 3 keep the
+        # final one too, and sample_every past the run keeps the endpoints;
+        # mode 600 > K_THRESHOLD carries its corrections
+        cfg = ModelConfig(max_mode=640, dt=1e-4, t_final=2e-3)
+        u0 = decaying_profile(640, 0.05, 1.0, seed=0)
+        rep = energy_drift_scan(u0, cfg, 600, sample_every=sample_every)
+        snaps = simulate(u0, cfg, sample_every=sample_every).snapshots
+        reports = [energy_mode(s.field, 600) for s in snaps]
+        assert len(snaps) == kept
+        assert rep.times == [s.t for s in snaps]
+        assert rep.quadratic == [r.quadratic for r in reports]
+        assert rep.total == [r.total for r in reports]
+        assert rep.total != rep.quadratic
+
+    def test_blowup_carries_the_last_good_state_of_simulate(self):
+        u0 = 2.0 * decaying_profile(16, 1.0, 2.0, seed=0)
+        cfg = ModelConfig(max_mode=16, dt=1e-3, t_final=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError, match="non-finite at t=0.009$") as scan:
+                energy_drift_scan(u0, cfg, 8, sample_every=1)
+            with pytest.raises(BlowUpError) as run:
+                simulate(u0, cfg, sample_every=1)
+        last, want = scan.value.last_good, run.value.last_good
+        assert last.t == want.t
+        assert np.array_equal(last.field.coeffs, want.field.coeffs)
+        assert last.alpha_accum == want.alpha_accum
+
+    def test_peak_does_not_grow_with_the_samples(self):
+        # kept states would cost 8.2 KB each at K = 256: 1.2 MB more at 200
+        # steps than at 50
+        u0 = decaying_profile(256, 0.05, 1.0, seed=0)
+
+        def peak(n_steps):
+            cfg = ModelConfig(max_mode=256, dt=1e-4, t_final=n_steps * 1e-4)
+            tracemalloc.start()
+            try:
+                energy_drift_scan(u0, cfg, 128, sample_every=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short = peak(50)
+        assert peak(200) - short < 100_000
 
     def test_initial_quadratic_value(self):
         eps, sigma, k = 0.1, 1.0, 16

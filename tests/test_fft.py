@@ -1,7 +1,8 @@
 """The transform owner: the lengths it pads to, its numpy.fft fallback when
 scipy's compiled pocketfft module cannot be loaded or fails its check, and
-the import budget it buys the CLI. The transforms themselves are checked
-against scipy.fft and numpy.fft where the solver uses them (test_evolve.py)."""
+the import budget it buys the CLI, and the CLI's runs without scipy. The
+transforms themselves are checked against scipy.fft and numpy.fft where the
+solver uses them (test_evolve.py)."""
 import importlib.machinery
 import importlib.util
 import json
@@ -17,6 +18,7 @@ import scipy.fft
 
 import remkdv
 from remkdv import _fft
+from remkdv.cli import main
 
 
 @pytest.mark.parametrize("real", [False, True])
@@ -35,6 +37,7 @@ def test_missing_extension_file_falls_back_to_numpy(monkeypatch, tmp_path):
     monkeypatch.delitem(sys.modules, _fft._NAME, raising=False)
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
     assert _fft._load() is None
+    assert _fft.scipy_version() is None   # nor does it hold version.py
     monkeypatch.setattr(_fft, "_PF", _fft._pocketfft())
     assert _fft._PF is None
     calls = []
@@ -77,6 +80,7 @@ def test_cli_imports_no_scipy_fft_and_runs_import_nothing():
     code = """
 import json, os, sys, tempfile
 import remkdv.cli
+assert "scipy" not in sys.modules
 assert "scipy.fft" not in sys.modules
 assert "numpy.random" in sys.modules
 before = set(sys.modules)
@@ -90,13 +94,63 @@ with tempfile.TemporaryDirectory() as d:
     codes = [remkdv.cli.main([*argv, "--out", os.path.join(d, argv[0])])
              for argv in runs]
 print(json.dumps({"codes": codes, "new": sorted(set(sys.modules) - before),
-                  "scipy.fft": "scipy.fft" in sys.modules}))
+                  "scipy": "scipy" in sys.modules}))
 """
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {"codes": [0, 0, 0], "new": [], "scipy": False}
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """code run by a fresh interpreter that imports this remkdv."""
     src = str(Path(remkdv.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                           text=True, env=env, timeout=120)
+
+
+# small runs of the two commands that step: smoothing, and energy-drift at a
+# mode whose corrections engage
+RUNS = {"smoothing": ["--override", "model.max_mode=32", "--override",
+                      "model.t_final=0.01", "--override", "watch_modes=[4, 8]"],
+        "energy-drift": ["--override", "model.max_mode=640", "--override",
+                         "model.dt=1e-4", "--override", "model.t_final=0.002",
+                         "--override", "k_watch=600", "--override", "sample_every=5"]}
+
+
+def test_manifest_names_the_installed_scipy(tmp_path):
+    assert main(["smoothing", *RUNS["smoothing"], "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == scipy.__version__
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # None in sys.modules makes find_spec("scipy") return None and an import
+    # of scipy fail, as on a machine without it
+    code = """
+import json, os, sys
+sys.modules["scipy"] = None
+import importlib.util
+assert importlib.util.find_spec("scipy") is None
+import remkdv._fft, remkdv.cli
+assert remkdv._fft._PF is None
+runs = json.loads(sys.argv[1])
+print(json.dumps([remkdv.cli.main([name, *argv, "--out", os.path.join(sys.argv[2], name)])
+                  for name, argv in runs.items()]))
+"""
+    proc = _python(code, json.dumps(RUNS), str(tmp_path / "numpy"))
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.splitlines()[-1])
-    assert got == {"codes": [0, 0, 0], "new": [], "scipy.fft": False}
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0]
+    assert _fft._PF is not None
+    for name, argv in RUNS.items():
+        assert main([name, *argv, "--out", str(tmp_path / "pocketfft" / name)]) == 0
+        without, pocket = tmp_path / "numpy" / name, tmp_path / "pocketfft" / name
+        table = name.replace("-", "_") + ".csv"
+        assert (without / table).read_bytes() == (pocket / table).read_bytes()
+        got = json.loads((without / "manifest.json").read_text())
+        want = json.loads((pocket / "manifest.json").read_text())
+        assert got["versions"]["scipy"] is None
+        want["versions"]["scipy"] = None
+        assert got == want
