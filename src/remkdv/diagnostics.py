@@ -13,8 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .energy import energy_mode
-from .evolve import (ModelConfig, SimulationState, _blowup, _run, _step_rows,
-                     rhs_split)
+from .evolve import ModelConfig, _run, rhs_split
 from .fields import (FourierField, phi_dyadic, riesz_potential, sobolev_norm,
                      space_time_norm, xsb_norm_diagnostic)
 from .pseudo import verify_ibp
@@ -372,43 +371,24 @@ def smoothing_scan(base: FourierField, model: ModelConfig, eps_list: list[float]
     The deviation is quartic in the amplitude at leading order (one cubic
     interaction paired against the mode itself), so doubling eps should
     multiply it by ~16; the report's ratios make that scaling inspectable.
-    The run keeps the watched coefficients at every step, no states.
-    The distinct amplitudes step together as one (m, 2K+1) coefficient
-    stack, each row bit for bit the run of `step` from eps * base. A row
-    that blows up is dropped together with the rows listed after it; the
-    scan raises BlowUpError for the first listed amplitude that blows up,
-    at its own time, with its last finite state and alpha_accum.
+    The run keeps the watched coefficients at every step, no states. The
+    distinct amplitudes run together through the run generator that
+    `simulate` consumes, so the scan raises BlowUpError for the first listed
+    amplitude that blows up, at its own time, with its last finite state.
     """
-    if base.max_mode != model.max_mode:
-        raise ValueError("base and config max_mode differ")
     report = SmoothingReport(list(eps_list), list(watch_modes))
     amps = list(dict.fromkeys(eps_list))
     if amps:
-        K, n = model.max_mode, model.n_steps
-        c = np.array([(eps * base).coeffs for eps in amps])
+        K = model.max_mode
         modes = list(dict.fromkeys(watch_modes))
         seen = [k for k in modes if abs(k) <= K]   # the others read 0
         pos = np.array([k + K for k in seen], dtype=np.intp)
-        picked = np.empty((n + 1, len(amps), len(seen)), dtype=complex)
-        picked[0] = c[:, pos]
-        t, alpha, mass, failed = 0.0, np.zeros(len(amps)), None, None
-        for i in range(1, n + 1):
-            nxt, mass, alpha_nxt, fault = _step_rows(c, alpha, model, mass)
-            if fault is not None:
-                j = int(np.flatnonzero(fault)[0])
-                failed = _blowup(int(fault[j]), SimulationState(
-                    t, FourierField(c[j], copy=True), float(alpha[j])))
-                if j == 0:
-                    raise failed
-                # rows after j no longer matter: an earlier row may still fail
-                nxt, mass, alpha_nxt = nxt[:j], mass[:j], alpha_nxt[:j]
-            c, alpha, t = nxt, alpha_nxt, t + model.dt
+        picked = np.empty((model.n_steps + 1, len(amps), len(seen)), dtype=complex)
+        for i, (_, c, _) in enumerate(_run([eps * base for eps in amps], model, 1)):
             picked[i, :len(c)] = c[:, pos]
-        if failed is not None:
-            raise failed
         first = _abs2(picked[0])
         dev = np.zeros(first.shape)
-        for i in range(0, n + 1, 128):   # in blocks: few Python floats at once
+        for i in range(0, len(picked), 128):   # in blocks: few Python floats at once
             dev = np.maximum(dev, np.max(np.abs(_abs2(picked[i:i + 128]) - first), axis=0))
         for r, eps in enumerate(amps):
             col = dict(zip(seen, dev[r].tolist()))
@@ -459,9 +439,9 @@ def energy_drift_scan(u0: FourierField, model: ModelConfig, k_watch: int,
     The states are those `simulate` keeps with this sample_every, each
     evaluated as the run reaches it; the scan keeps none of them."""
     times, quad, tot = [], [], []
-    for s in _run(u0, model, sample_every):
-        rep = energy_mode(s.field, k_watch)
-        times.append(s.t)
+    for t, c, _ in _run([u0], model, sample_every):
+        rep = energy_mode(FourierField(c[0], copy=False), k_watch)
+        times.append(t)
         quad.append(rep.quadratic)
         tot.append(rep.total)
     dq = float(np.max(np.abs(np.array(quad) - quad[0])))

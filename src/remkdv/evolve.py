@@ -482,8 +482,9 @@ def _blowup(fault: int, last_good: SimulationState) -> BlowUpError:
 
 
 def step(state: SimulationState, config: ModelConfig) -> SimulationState:
-    """One step of config.integrator. Raises BlowUpError if the result or
-    its mass is not finite."""
+    """One step of config.integrator from a real state. Raises BlowUpError
+    if the result or its mass is not finite."""
+    state.field.require_real()
     if state.field.max_mode != config.max_mode:
         raise ValueError("state and config max_mode differ")
     c, _, alpha, fault = _step_rows(state.field.coeffs, state.alpha_accum, config)
@@ -492,33 +493,50 @@ def step(state: SimulationState, config: ModelConfig) -> SimulationState:
     return SimulationState(state.t + config.dt, FourierField(c, copy=False), float(alpha))
 
 
-def _run(u0: FourierField, config: ModelConfig, sample_every: int | None):
-    """The states simulate keeps, each yielded as the run reaches it: t = 0,
-    every sample_every-th step (none if None) and the last. A yielded state
-    is the one stepped on from, so a caller that keeps it keeps a copy."""
-    u0.require_real()
-    if u0.max_mode != config.max_mode:
-        raise ValueError("initial data max_mode differs from config")
+def _run(fields: list[FourierField], config: ModelConfig, sample_every: int | None):
+    """Run the real fields together as one (m, 2K+1) coefficient stack,
+    each row bit for bit the chain of `step` calls from its field, and yield
+    (t, c, alpha) at t = 0, every sample_every-th step (none if None) and the
+    last. A yielded c is never written again.
+
+    A row that blows up is dropped together with the rows listed after it;
+    the run raises BlowUpError for the first listed row that blows up, at
+    its own time, with its last finite state and alpha_accum."""
+    for u in fields:
+        u.require_real()
+        if u.max_mode != config.max_mode:
+            raise ValueError("initial data max_mode differs from config")
     if sample_every is not None and sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
-    state = SimulationState(0.0, u0.copy())
     n = config.n_steps
-    yield state
+    c = np.array([u.coeffs for u in fields])
+    t, alpha, mass, failed = 0.0, np.zeros(len(c)), None, None
+    yield t, c, alpha
     for i in range(1, n + 1):
-        state = step(state, config)
+        nxt, mass, alpha_nxt, fault = _step_rows(c, alpha, config, mass)
+        if fault is not None:
+            j = int(np.flatnonzero(fault)[0])
+            failed = _blowup(int(fault[j]), SimulationState(
+                t, FourierField(c[j], copy=True), float(alpha[j])))
+            if j == 0:
+                raise failed
+            # rows after j no longer matter: an earlier row may still fail
+            nxt, mass, alpha_nxt = nxt[:j], mass[:j], alpha_nxt[:j]
+        c, alpha, t = nxt, alpha_nxt, t + config.dt
         if i == n or (sample_every is not None and i % sample_every == 0):
-            yield state
+            yield t, c, alpha
+    if failed is not None:
+        raise failed
 
 
 def simulate(u0: FourierField, config: ModelConfig,
              sample_every: int | None = None) -> SimulationResult:
     """Run from t=0 to t_final. sample_every=m keeps every m-th state
     (plus the initial and final ones); None keeps only the endpoints."""
-    snaps = []
-    for state in _run(u0, config, sample_every):
-        snaps.append(SimulationState(state.t, state.field.copy(), state.alpha_accum))
-    times = np.array([s.t for s in snaps])
-    return SimulationResult(final=state, times=times, snapshots=snaps)
+    snaps = [SimulationState(t, FourierField(c[0], copy=False), float(alpha[0]))
+             for t, c, alpha in _run([u0], config, sample_every)]
+    return SimulationResult(final=snaps[-1], times=np.array([s.t for s in snaps]),
+                            snapshots=snaps)
 
 
 def _gauge_shift(state: SimulationState, config: ModelConfig, direction: int) -> SimulationState:

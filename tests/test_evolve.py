@@ -13,7 +13,8 @@ import pytest
 import scipy.fft
 
 from remkdv import _fft
-from remkdv.diagnostics import decaying_profile, single_mode_profile
+from remkdv.diagnostics import (decaying_profile, energy_drift_scan,
+                                single_mode_profile, smoothing_scan)
 from remkdv.evolve import (
     INTEGRATORS,
     BlowUpError,
@@ -248,7 +249,11 @@ class TestCubic:
 
     @pytest.mark.parametrize("fn", [
         cubic_coefficients, rhs_split, lambda u: rhs(u, _cfg(max_mode=8)),
-    ], ids=["cubic_coefficients", "rhs_split", "rhs"])
+        lambda u: step(SimulationState(0.0, u), _cfg(max_mode=8)),
+        lambda u: smoothing_scan(u, _cfg(max_mode=8), [0.1], [1]),
+        lambda u: energy_drift_scan(u, _cfg(max_mode=8), 4),
+    ], ids=["cubic_coefficients", "rhs_split", "rhs", "step", "smoothing_scan",
+            "energy_drift_scan"])
     def test_rejects_non_real_field(self, fn):
         with pytest.raises(ValueError, match="Hermitian"):
             fn(_not_real(8))
@@ -756,6 +761,26 @@ class TestSimulate:
                        sample_every=1)
         assert np.array_equal(res.snapshots[0].field.coeffs, u.coeffs)
         assert res.snapshots[0].field.coeffs is not u.coeffs
+
+    @pytest.mark.parametrize("sample_every", [1, 3])
+    @pytest.mark.parametrize("integrator", sorted(INTEGRATORS))
+    def test_is_the_step_chain(self, integrator, sample_every):
+        # every kept snapshot is the matching state of a loop of step calls,
+        # bit for bit, read after the run: no later step writes into it
+        cfg = _cfg(max_mode=16, dt=1e-3, t_final=1e-2, integrator=integrator)
+        u = decaying_profile(16, 1.0, 2.0, seed=5)
+        res = simulate(u, cfg, sample_every=sample_every)
+        chain = [SimulationState(0.0, u)]
+        for _ in range(cfg.n_steps):
+            chain.append(step(chain[-1], cfg))
+        kept = chain[::sample_every]
+        if cfg.n_steps % sample_every:
+            kept.append(chain[-1])
+        assert len(res.snapshots) == len(kept)
+        for got, want in zip(res.snapshots, kept):
+            assert got.t == want.t and got.alpha_accum == want.alpha_accum
+            assert np.array_equal(got.field.coeffs, want.field.coeffs)
+        assert res.times.tolist() == [s.t for s in kept]
 
     def test_alpha_accum_tracks_mass_integral(self):
         u = _single_mode(32, 0.1)
