@@ -102,7 +102,9 @@ RULES = {
     "seed": ((lambda n: n >= 0), "at least 0"),
     "sample_every": ((lambda n: n >= 1), "at least 1"),
     "k_watch": ((lambda k: k != 0), "a nonzero mode"),
-    "scaling_band": ((lambda band: len(band) == 2), "[low, high]"),
+    "scaling_band": ((lambda band: len(band) == 2 and band[0] <= band[1]),
+                     "[low, high] with low <= high"),
+    "require_ratio_below": ((lambda r: r > 0), "above 0"),
     "gauge": _one_of("none", "forward", "backward"),
     "profile.type": _one_of("single_mode", "decaying", "file"),
     # norms reads no profile.path, so it has no file profile

@@ -355,14 +355,6 @@ class SmoothingReport:
     ratios: dict = dc_field(default_factory=dict)         # {k: dev(2eps)/dev(eps)}
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """abs(complex(x)) ** 2 of every entry of z, bit for bit: Python's abs
-    is a hypot (numpy's complex abs differs in the last bit), and a float's
-    ** 2 is libm's pow (numpy's square differs in the last bit)."""
-    amp = np.hypot(z.real, z.imag)
-    return np.array([a ** 2 for a in amp.ravel().tolist()]).reshape(amp.shape)
-
-
 def smoothing_scan(base: FourierField, model: ModelConfig, eps_list: list[float],
                    watch_modes: list[int]) -> SmoothingReport:
     """sup_t | |u^(k,t)|^2 - |u^(k,0)|^2 | per watched mode and amplitude,
@@ -376,6 +368,9 @@ def smoothing_scan(base: FourierField, model: ModelConfig, eps_list: list[float]
     `simulate` consumes, so the scan raises BlowUpError for the first listed
     amplitude that blows up, at its own time, with its last finite state.
     """
+    base.require_real()
+    if base.max_mode != model.max_mode:
+        raise ValueError("initial data max_mode differs from config")
     report = SmoothingReport(list(eps_list), list(watch_modes))
     amps = list(dict.fromkeys(eps_list))
     if amps:
@@ -386,10 +381,8 @@ def smoothing_scan(base: FourierField, model: ModelConfig, eps_list: list[float]
         picked = np.empty((model.n_steps + 1, len(amps), len(seen)), dtype=complex)
         for i, (_, c, _) in enumerate(_run([eps * base for eps in amps], model, 1)):
             picked[i, :len(c)] = c[:, pos]
-        first = _abs2(picked[0])
-        dev = np.zeros(first.shape)
-        for i in range(0, len(picked), 128):   # in blocks: few Python floats at once
-            dev = np.maximum(dev, np.max(np.abs(_abs2(picked[i:i + 128]) - first), axis=0))
+        amp = np.abs(picked) ** 2
+        dev = np.max(np.abs(amp - amp[0]), axis=0)
         for r, eps in enumerate(amps):
             col = dict(zip(seen, dev[r].tolist()))
             report.sup_deviation[eps] = {k: col.get(k, 0.0) for k in modes}

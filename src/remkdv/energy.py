@@ -130,7 +130,7 @@ def energy_mode(u: FourierField, k: int) -> EnergyReport:
         raise ValueError("k must be a nonzero mode")
     if abs(k) > u.max_mode:
         raise ValueError("k exceeds the field truncation")
-    quad = 0.5 * abs(k) * abs(u.mode(k)) ** 2
+    quad = 0.5 * abs(k) * float(np.abs(u.mode(k)) ** 2)
     if abs(k) <= K_THRESHOLD:
         return EnergyReport(k, quad, 0.0, 0.0, 0.0, quad)
     e31 = _e31(u, k)

@@ -180,15 +180,9 @@ def _mirror(h: np.ndarray) -> np.ndarray:
 
 
 def _mass_half(h: np.ndarray):
-    """P0(u^2) = |h_0|^2 + 2 sum_{k>0} |h_k|^2 of each row, shaped to
-    broadcast against h. Each row goes through np.vdot, as a single field
-    does, so that a stacked row matches its single-field step bit for bit
-    (einsum's reduction rounds differently)."""
-    if h.ndim == 1:
-        return 2.0 * np.vdot(h, h).real - abs(h[0]) ** 2
-    rows = h.reshape(-1, h.shape[-1])
-    p0 = [2.0 * np.vdot(r, r).real - abs(r[0]) ** 2 for r in rows]
-    return np.array(p0).reshape(h.shape[:-1] + (1,))
+    """P0(u^2) = 2 sum_{k>=0} |h_k|^2 - |h_0|^2 of each row, shaped to
+    broadcast against h."""
+    return 2.0 * _row_mass(h)[..., None] - np.abs(h[..., :1]) ** 2
 
 
 def _transport(h: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -428,7 +422,7 @@ def _exact_phase_coeffs(c: np.ndarray, cfg: ModelConfig,
     Q = _inverse_resonance_cube(np.concatenate((lin, rows)), block)
     v = lin - (cfg.sign * ks / (2.0 * np.pi) ** 2) * (Q[:m] - E * Q[m:])
     amp = np.abs(v) ** 2
-    offset = 0.0 if cfg.renormalized else np.sum(amp, axis=-1, keepdims=True)
+    offset = 0.0 if cfg.renormalized else _row_mass(v)[..., None]
     out = np.exp(6j * np.pi * cfg.sign * cfg.dt * ks * (amp - offset)) * v
     return _resymmetrize(out, rows, cfg.max_mode).reshape(c.shape)
 
@@ -446,8 +440,9 @@ _FAULTS = (None, "state", "mass")
 
 
 def _row_mass(c: np.ndarray):
-    """P0(u^2) of each row, bit for bit as FourierField.mass()."""
-    return np.add.reduce(np.abs(c) ** 2, axis=-1)
+    """P0(u^2) = sum |c_k|^2 along the last axis: a row rounds the same
+    whatever the stack around it, and as FourierField.mass() does."""
+    return np.vecdot(c, c).real
 
 
 def _step_rows(c: np.ndarray, alpha, config: ModelConfig, mass=None):

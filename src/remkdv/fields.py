@@ -118,11 +118,11 @@ class FourierField:
 
     def l2_norm(self) -> float:
         """L2(torus) norm; by Parseval this is the plain l2 norm of the coefficients."""
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
+        return float(np.sqrt(self.mass()))
 
     def mass(self) -> float:
         """P0(u^2) = integral of u^2 = sum |u_hat|^2 for a real field."""
-        return float(np.sum(np.abs(self.coeffs) ** 2))
+        return float(np.vecdot(self.coeffs, self.coeffs).real)
 
     def mean(self) -> complex:
         return complex(self.coeffs[self.max_mode])

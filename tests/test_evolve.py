@@ -30,7 +30,8 @@ from remkdv.evolve import (
 )
 from remkdv.evolve import (_cube_half, _cube_plan, _default_block,
                            _exact_phase_coeffs, _ifrk4_coeffs,
-                           _inverse_resonance_cube, _kernel_plan, _step_rows)
+                           _inverse_resonance_cube, _kernel_plan, _mass_half,
+                           _row_mass, _step_rows)
 from remkdv.fields import FourierField, deriv_multiplier
 
 
@@ -251,9 +252,11 @@ class TestCubic:
         cubic_coefficients, rhs_split, lambda u: rhs(u, _cfg(max_mode=8)),
         lambda u: step(SimulationState(0.0, u), _cfg(max_mode=8)),
         lambda u: smoothing_scan(u, _cfg(max_mode=8), [0.1], [1]),
+        # the base itself is checked, not only the (here real) zero row
+        lambda u: smoothing_scan(u, _cfg(max_mode=8), [0.0], [1]),
         lambda u: energy_drift_scan(u, _cfg(max_mode=8), 4),
     ], ids=["cubic_coefficients", "rhs_split", "rhs", "step", "smoothing_scan",
-            "energy_drift_scan"])
+            "smoothing_scan_zero_amplitude", "energy_drift_scan"])
     def test_rejects_non_real_field(self, fn):
         with pytest.raises(ValueError, match="Hermitian"):
             fn(_not_real(8))
@@ -470,6 +473,22 @@ class TestHalfSpectrumStep:
 
 
 class TestBatchedStep:
+    @pytest.mark.parametrize("K", [16, 2048])
+    def test_masses_are_per_row_vdot(self, K):
+        # a mass along the last axis rounds the same for a row whatever the
+        # stack around it: 3-D stacks and strided half-spectrum views give
+        # each row's 1-D value and np.vdot's, bit for bit
+        rng = np.random.default_rng(K)
+        c = rng.standard_normal((2, 3, 2 * K + 1)) + 1j * rng.standard_normal((2, 3, 2 * K + 1))
+        for stack in (c, c[..., K:], np.ascontiguousarray(c[..., K:])):
+            mass, half = _row_mass(stack), _mass_half(stack)
+            assert mass.shape == (2, 3) and half.shape == (2, 3, 1)
+            for i, j in np.ndindex(2, 3):
+                r = stack[i, j]
+                assert mass[i, j] == _row_mass(r) == np.vdot(r, r).real
+                want = 2.0 * np.vdot(r, r).real - np.abs(r[0]) ** 2
+                assert half[i, j, 0] == _mass_half(r)[0] == want
+
     @pytest.mark.parametrize("K, dt", [(32, 1e-3), (256, 1e-4), (2048, 2e-4)])
     def test_stack_equals_single_rows_bitwise(self, K, dt):
         # one stack of three fields, stepped together, against the three
