@@ -82,6 +82,14 @@ def decaying_profile(max_mode: int, eps: float, sigma: float, seed: int = 0) -> 
     return eps * out
 
 
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
 def profile_from_csv(path: str) -> FourierField:
     """Read (k, re, im) rows; max_mode is the largest |k| present.
 
@@ -92,7 +100,7 @@ def profile_from_csv(path: str) -> FourierField:
     rows = {}
     with open(path, newline="") as fh:
         for line, row in enumerate(csv.reader(fh), start=1):
-            if not row or (line == 1 and not row[0].strip().lstrip("-").isdigit()):
+            if not row or (line == 1 and not _is_int(row[0])):
                 continue
             try:
                 k, re, im = row
@@ -363,7 +371,7 @@ def smoothing_scan(base: FourierField, model: ModelConfig, eps_list: list[float]
     The deviation is quartic in the amplitude at leading order (one cubic
     interaction paired against the mode itself), so doubling eps should
     multiply it by ~16; the report's ratios make that scaling inspectable.
-    The run keeps the watched coefficients at every step, no states. The
+    The run keeps a running max per watched mode, no states. The
     distinct amplitudes run together through the run generator that
     `simulate` consumes, so the scan raises BlowUpError for the first listed
     amplitude that blows up, at its own time, with its last finite state.
@@ -378,11 +386,14 @@ def smoothing_scan(base: FourierField, model: ModelConfig, eps_list: list[float]
         modes = list(dict.fromkeys(watch_modes))
         seen = [k for k in modes if abs(k) <= K]   # the others read 0
         pos = np.array([k + K for k in seen], dtype=np.intp)
-        picked = np.empty((model.n_steps + 1, len(amps), len(seen)), dtype=complex)
-        for i, (_, c, _) in enumerate(_run([eps * base for eps in amps], model, 1)):
-            picked[i, :len(c)] = c[:, pos]
-        amp = np.abs(picked) ** 2
-        dev = np.max(np.abs(amp - amp[0]), axis=0)
+        run = _run([eps * base for eps in amps], model, 1)
+        _, c, _ = next(run)
+        amp0 = np.abs(c[:, pos]) ** 2
+        dev = np.zeros_like(amp0)
+        for _, c, _ in run:
+            # rows dropped after a blow-up keep their max; the run raises at its end
+            m = len(c)
+            dev[:m] = np.maximum(dev[:m], np.abs(np.abs(c[:, pos]) ** 2 - amp0[:m]))
         for r, eps in enumerate(amps):
             col = dict(zip(seen, dev[r].tolist()))
             report.sup_deviation[eps] = {k: col.get(k, 0.0) for k in modes}

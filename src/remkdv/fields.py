@@ -287,8 +287,6 @@ def riesz_potential(field: FourierField, s: float) -> FourierField:
     mult = np.zeros_like(ks)
     nz = ks != 0
     mult[nz] = np.abs(ks[nz]) ** s
-    if s == 0:
-        mult[~nz] = 0.0  # dropped by convention, documented above
     return field.multiplied(mult)
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "symbol_one",
     "pseudoproduct",
     "pseudoproduct_restricted",
-    "paired_quadrilinear",
     "t_functional",
     "IBPSymbols",
     "ibp_symbols",
@@ -69,9 +68,9 @@ def _triple_sum(weight_fn, f: FourierField, g: FourierField, h: FourierField,
     """Direct lattice triple sum; weight_fn(K1, K2, K3) supplies the full weight.
 
     Cost is O(K_out * K^2), vectorized over the (k1, k2) plane. Fine up to
-    K ~ 128. A pairing with a fourth field needs no output field:
-    paired_quadrilinear sums it in O(#s * K^2) over the ~3M pair sums s of
-    the block, and the row path of verify_ibp in O(#s * K * M).
+    K ~ 128. An A3 pairing with a fourth field needs no output field:
+    `_a3_row_sums` sums it in O(#s * K * M) over the ~3M pair sums s of the
+    block.
     """
     K = f.max_mode
     K_out = K if out_max_mode is None else out_max_mode
@@ -117,46 +116,9 @@ def _support_sums(M: int) -> np.ndarray:
     return np.concatenate([-mags[::-1], mags])
 
 
-def paired_quadrilinear(eta: SymbolFn, j: int, M: int,
-                        f1: FourierField, f2: FourierField, f3: FourierField,
-                        f4: FourierField) -> complex:
-    """integral of Pi^j_{eta,M}(f1,f2,f3) * f4 over the torus, factorized over
-    the localized pair sum s (at most ~3M values).
-
-    For each s the symbol, the A_j mask and the inner product fill the full
-    (2K+1)^2 grid of output and inner frequencies, so a call is
-    O(#s * K^2) instead of O(K^3), for any symbol and any slot j. verify_ibp
-    and t_functional take the O(#s * K * M) row path `_a3_row_sums`; this
-    generic sum is its oracle in the tests.
-    """
-    if j not in (1, 2, 3):
-        raise ValueError("j must be 1, 2 or 3")
-    _check_shared_mode(f1, f2, f3, f4)
-    fa, fb = [f for i, f in enumerate((f1, f2, f3), 1) if i != j]
-    fj = (f1, f2, f3)[j - 1]
-    K = f1.max_mode
-    ks = np.arange(-K, K + 1)
-    kk = ks[:, None]          # output frequency k
-    ki = ks[None, :]          # free inner frequency
-    total = 0.0 + 0.0j
-    for s in _support_sums(int(M)):
-        s = int(s)
-        w_s = float(phi_dyadic(M, s))
-        # the slot paired with the inner frequency ki sits at mode s - ki
-        slots = [ki, s - ki]
-        slots.insert(j - 1, kk - s)
-        k1, k2, k3 = slots
-        inner = fa.coeffs[None, :] * fb.gather(s - ks)[None, :]
-        mask = a_cell(j, *pair_sums(k1, k2, k3))
-        outer = fj.gather(ks - s) * f4.coeffs[::-1]   # f4^(-k) indexed like k
-        grid = eta.eval(k1, k2, k3) * mask * inner
-        total += w_s * np.sum(grid.sum(axis=1) * outer)
-    return complex(total)
-
-
 def _a3_row_sums(M: int, f1: FourierField, f2: FourierField,
                  pieces) -> list[complex]:
-    """paired_quadrilinear(eta, 3, M, f1, f2, f3, f4) for each piece
+    """integral of Pi^3_{eta,M}(f1, f2, f3) * f4 over the torus for each piece
     (eta, f3, f4), by masked row sums in O(#s * K * M).
 
     Each eta must depend on (k1, k2, k3) only through s = k1 + k2 and k3, as
@@ -328,12 +290,23 @@ def verify_ibp(M: int, N: int, f1: FourierField, f2: FourierField,
     return abs(lhs - shift_piece - boundary_piece) / scale
 
 
-def estimate_quadrilinear_ratio(eta: SymbolFn, j: int, M: int, trials: int, K: int,
+def estimate_quadrilinear_ratio(eta: SymbolFn, M: int, trials: int, K: int,
                                 seed: int = 0) -> float:
-    """Empirical sup of |int Pi^j_{eta,M} f4| / (M prod ||f_i||_{L2}) over random
-    real fields. A regression diagnostic for the quadrilinear estimate, not a
-    proof; the observed constant is stored as a golden baseline by the tests.
+    """Empirical sup of |int Pi^3_{eta,M}(f1, f2, f3) f4| / (M prod ||f_i||_{L2})
+    over random real fields. A regression diagnostic for the quadrilinear
+    estimate, not a proof; the observed constant is stored as a golden
+    baseline by the tests.
+
+    The pairing is summed by masked rows, so eta must depend on (k1, k2, k3)
+    only through k1 + k2 and k3: ValueError unless eta(k1, s - k1, k3) equals
+    eta(0, s, k3) exactly for |k1|, |k3| <= K and every pair sum s of the block.
     """
+    ks = np.arange(-K, K + 1)
+    k1, k3 = ks[:, None], ks[None, :]
+    zeros = np.zeros_like(k1)
+    for s in _support_sums(int(M)):
+        if not np.all(eta.eval(k1, s - k1, k3) == eta.eval(zeros, zeros + s, k3)):
+            raise ValueError(f"symbol {eta.name} is not a function of k1 + k2 and k3")
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):
@@ -345,6 +318,7 @@ def estimate_quadrilinear_ratio(eta: SymbolFn, j: int, M: int, trials: int, K: i
         denom = M * np.prod([f.l2_norm() for f in fields])
         if denom == 0:
             continue
-        val = abs(paired_quadrilinear(eta, j, M, *fields))
+        f1, f2, f3, f4 = fields
+        val = abs(_a3_row_sums(M, f1, f2, [(eta, f3, f4)])[0])
         best = max(best, val / denom)
     return float(best)

@@ -93,7 +93,7 @@ def quadrilinear_baseline() -> dict:
         for name, sym in (("one", symbol_one()),
                           ("shift", syms.eta_shift_out),
                           ("boundary", syms.eta_boundary)):
-            val = estimate_quadrilinear_ratio(sym, 3, M, trials=20, K=K, seed=7)
+            val = estimate_quadrilinear_ratio(sym, M, trials=20, K=K, seed=7)
             runs.append({"symbol": name, "N": N, "M": M, "K": K,
                          "trials": 20, "seed": 7, "ratio": val})
     return {"runs": runs}

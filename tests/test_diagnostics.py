@@ -78,6 +78,14 @@ class TestProfiles:
         with pytest.raises(ValueError, match="no coefficient rows"):
             profile_from_csv(str(path))
 
+    def test_csv_signed_first_row_is_data(self, tmp_path):
+        # a first row is a header only when int() refuses its k
+        path = tmp_path / "signed.csv"
+        path.write_text("+1,0.5,0\n-1,0.5,0\n")
+        u = profile_from_csv(str(path))
+        assert u.mode(1) == 0.5 and u.mode(-1) == 0.5
+        u.require_real()
+
     # only the first row may be a header; each bad row is named by its line
     @pytest.mark.parametrize("text,line", [
         pytest.param("k,re,im\n1,0.05\n", 2, id="two_fields"),

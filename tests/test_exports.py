@@ -1,6 +1,8 @@
 """Every exported name resolves; bench/spans.py builds its wrappers from
-these lists and silently skips a name that does not. The golden regenerator,
-which no other test runs, imports, and its smoothing record is the file's."""
+these lists and silently skips a name that does not. The package root
+exports what the README imports from it. The golden regenerator, which no
+other test runs, imports, and its smoothing record is the file's."""
+import ast
 import importlib
 import importlib.util
 import json
@@ -32,6 +34,17 @@ def test_package_exports_are_layer_exports():
         # a function or class is listed where it is defined; a constant has
         # no __module__ and is listed where it is bound
         assert getattr(obj, "__module__", homes[0]) in homes, name
+
+
+def test_package_exports_are_readme_imports():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    names = set()
+    for block in readme.split("```python\n")[1:]:
+        for node in ast.walk(ast.parse(block.split("```")[0])):
+            if isinstance(node, ast.ImportFrom) and node.module == "remkdv":
+                names.update(alias.name for alias in node.names)
+    assert names
+    assert set(remkdv.__all__) - {"__version__"} == names
 
 
 def _regenerator():

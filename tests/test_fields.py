@@ -188,6 +188,8 @@ class TestPotentials:
         g = riesz_potential(f, 1.0)
         assert g.mode(0) == 0.0
         assert g.mode(1) == pytest.approx(1.0)
+        # s = 0 drops it too, by convention, where |k|^0 would keep it
+        assert riesz_potential(f, 0.0).mode(0) == 0.0
 
     def test_riesz_negative_order_needs_mean_free(self):
         f = FourierField.from_modes(4, {0: 5.0, 1: 1.0, -1: 1.0})

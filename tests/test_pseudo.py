@@ -22,7 +22,6 @@ from remkdv.pseudo import (
     estimate_quadrilinear_ratio,
     ibp_symbols,
     near_projector_blocks,
-    paired_quadrilinear,
     pseudoproduct,
     pseudoproduct_restricted,
     symbol_one,
@@ -143,25 +142,25 @@ class TestSupportSums:
         assert phi_dyadic(4, np.array([8]))[0] == 0.0
 
 
+def _paired(prod, f4):
+    # integral of prod * f4 over the torus: f4^(-k) indexed like k
+    return complex(np.sum(prod.coeffs * f4.coeffs[::-1]))
+
+
 class TestPairedQuadrilinear:
-    @pytest.mark.parametrize("j", [1, 2, 3])
+    # the row path serves slot 3 alone: A1 and A2 pairings have no engine
+    @pytest.mark.parametrize("j", [3])
     @pytest.mark.parametrize("M", [0, 1, 2, 4])
     def test_matches_direct_sum(self, j, M):
         # oracle: build the restricted product on the full lattice, then pair
         K = 16
         f1, f2, f3, f4 = (_random_complex(K, seed=10 * j + M + s)
                           for s in (0, 1, 2, 3))
-        eta = SymbolFn(lambda k1, k2, k3: np.cos(0.1 * k1) + 0.2 * np.sin(k2 - k3),
-                       1.2, "test")
-        prod = pseudoproduct_restricted(eta, j, M, f1, f2, f3)
-        want = complex(np.sum(prod.coeffs * f4.coeffs[::-1]))
-        got = paired_quadrilinear(eta, j, M, f1, f2, f3, f4)
+        eta = SymbolFn(lambda k1, k2, k3: np.cos(0.1 * (k1 + k2))
+                       + 0.2 * np.sin(k1 + k2 - k3), 1.2, "test")
+        want = _paired(pseudoproduct_restricted(eta, j, M, f1, f2, f3), f4)
+        got = _a3_row_sums(M, f1, f2, [(eta, f3, f4)])[0]
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-    def test_rejects_bad_j(self):
-        f = _random_real(8)
-        with pytest.raises(ValueError):
-            paired_quadrilinear(symbol_one(), 0, 1, f, f, f, f)
 
     def test_single_mode_bound(self):
         # one-term sums stay below the M * prod L2 budget
@@ -169,7 +168,7 @@ class TestPairedQuadrilinear:
         f = FourierField.from_modes(K, {3: 1.0, -3: 1.0})
         g = FourierField.from_modes(K, {2: 0.5, -2: 0.5})
         for M in (1, 2, 4):
-            val = abs(paired_quadrilinear(symbol_one(), 3, M, f, g, f, g))
+            val = abs(_a3_row_sums(M, f, g, [(symbol_one(), f, g)])[0])
             budget = M * (f.l2_norm() ** 2) * (g.l2_norm() ** 2)
             assert val <= budget + 1e-12
 
@@ -199,7 +198,7 @@ class TestA3RowSums:
                 (symbol_one(), shift, syms.eta_boundary, *syms)]
         got = _a3_row_sums(M, f1, f2, [(eta, f3, f4) for eta in etas])
         for eta, val in zip(etas, got):
-            want = paired_quadrilinear(eta, 3, M, f1, f2, f3, f4)
+            want = _paired(pseudoproduct_restricted(eta, 3, M, f1, f2, f3), f4)
             assert abs(val - want) <= 1e-15 * scale, eta.name
             assert _a3_row_sums(M, f1, f2, [(eta, f3, f4)]) == [val]
 
@@ -342,7 +341,7 @@ class TestQuadrilinearRatio:
     def test_zero_symbol(self):
         zero = SymbolFn(lambda k1, k2, k3: np.zeros(np.broadcast(k1, k2, k3).shape),
                         0.0, "0")
-        assert estimate_quadrilinear_ratio(zero, 3, 2, trials=3, K=16) == 0.0
+        assert estimate_quadrilinear_ratio(zero, 2, trials=3, K=16) == 0.0
 
     def test_golden_baselines(self):
         data = json.loads((GOLDEN / "quadrilinear_ratio.json").read_text())
@@ -350,7 +349,12 @@ class TestQuadrilinearRatio:
             syms = ibp_symbols(run["M"], run["N"])
             sym = {"one": symbol_one(), "shift": syms.eta_shift_out,
                    "boundary": syms.eta_boundary}[run["symbol"]]
-            got = estimate_quadrilinear_ratio(sym, 3, run["M"],
-                                              trials=run["trials"], K=run["K"],
-                                              seed=run["seed"])
+            got = estimate_quadrilinear_ratio(sym, run["M"], trials=run["trials"],
+                                              K=run["K"], seed=run["seed"])
             assert got == pytest.approx(run["ratio"], rel=1e-9)
+
+    def test_refuses_symbol_of_k1(self):
+        # the row path reads eta once per row, at (0, k1 + k2, k3)
+        eta = SymbolFn(lambda k1, k2, k3: np.cos(0.1 * k1), 1.0, "cos")
+        with pytest.raises(ValueError, match="not a function of k1 \\+ k2 and k3"):
+            estimate_quadrilinear_ratio(eta, 2, trials=1, K=16)
