@@ -6,7 +6,7 @@ The package has six small layers:
 - fields: truncated Fourier series on the torus, dyadic frequency calculus,
   norms, and the dispersive-weight diagnostic;
 - resonance: exact integer resonance functions, the near-resonant triple sets,
-  their fast parametrizations and cached cell tables;
+  and the (k, a, b) grid of the D1 cells;
 - pseudo: trilinear pseudo-products, the frequency-restricted variants, and
   the integration-by-parts identity with its explicit bounded symbols;
 - energy: the corrected (modified) energy of a high mode and the dyadic

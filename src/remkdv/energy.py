@@ -9,12 +9,18 @@ itself). Each correction divides by the cubic resonance function, scaled by
 produces (2*pi)^3 k Omega/Omega from the free flow, so the (2*pi)^2 is exactly
 what makes the leading cancellation hold with unit coupling constants.
 
+e31 and e5 sum the D^1 cells on (k, a, b) grids of output mode and small pair
+sums (resonance.d1_cells, d1_omega3). A grid cell stands for its three slot
+orders, which share the product and Omega3: e31 counts each cell 3 times and
+e5 each pair of cells 9 times.
+
 e32 is one short convolution. A median-cut D2 cell has two entries a, b with
 |a|, |b| < c = ceil(|k|^THETA2) and a third k - s, s = a + b != 0; its three
 slot orders carry one product and Omega3 = -3 s (k-a)(k-b). With f_a = u^(a)/(k-a),
   e32 = |k| k 3 Re( u^(-k) sum_{s != 0, |k-s| <= K} u^(k-s) (f*f)(s) / (-3 s) ) / (2pi)^2.
 This needs 3c <= |k|, which the constant cuts make true at every corrected mode.
-The tests check e31 and e32 against a direct scan of the lattice.
+The tests check e31 and e32 against a direct scan of the lattice and e5
+against a plain loop over the cells.
 
 The difference energy replaces the quartic density by its two-solution
 polarization and is summed over dyadic blocks with an N^{2s'} ladder.
@@ -27,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FourierField, dyadic_blocks, phi_dyadic, sobolev_norm
-from .resonance import (D1_BRANCHES, d1_cells, d1_omega3, d1_small_sums, d1_table,
-                        pair_sums)
+from .resonance import D1_BRANCHES, d1_cells, d1_omega3, d1_small_sums
 
 __all__ = [
     "THETA1",
@@ -65,17 +70,15 @@ class EnergyReport:
     total: float
 
 
-def _e31(u: FourierField, k: int) -> float:
-    tri, om = d1_table(k, u.max_mode)
-    if tri.shape[0] == 0:
-        return 0.0
-    m_min = np.min(pair_sums(*tri.T), axis=0)
-    keep = 2 ** np.floor(np.log2(m_min)) < abs(k) ** THETA1
-    tri, om = tri[keep], om[keep]
-    prod = u.gather(tri[:, 0]) * u.gather(tri[:, 1]) * u.gather(tri[:, 2])
+def _e31(u: FourierField, k: int, cells, a, b, om) -> float:
+    # the smallest pair sum of a D1 cell is min(|a|, |b|)
+    keep = 2 ** np.floor(np.log2(np.minimum(np.abs(a), np.abs(b)))) < abs(k) ** THETA1
+    cells, om = cells[:, keep], om[keep]
+    prod = u.gather(cells[0]) * u.gather(cells[1]) * u.gather(cells[2])
     # |k| k, not k^2: the cell sum is odd under k -> -k while the quadratic
-    # drift it cancels is even, so the prefactor must carry sign(k)
-    return abs(k) * k * float(np.real(np.sum(prod / (FOUR_PI_SQ * om)) * u.mode(-k)))
+    # drift it cancels is even, so the prefactor must carry sign(k); the 3
+    # counts the slot orders of each cell
+    return abs(k) * k * float(np.real(3 * np.sum(prod / (FOUR_PI_SQ * om)) * u.mode(-k)))
 
 
 def _e32(u: FourierField, k: int) -> float:
@@ -91,34 +94,35 @@ def _e32(u: FourierField, k: int) -> float:
     return abs(k) * k * float(np.real(cells * u.mode(-k))) / FOUR_PI_SQ
 
 
-def _e5(u: FourierField, k: int) -> float:
-    outer, om_out = d1_table(k, u.max_mode)
-    if outer.shape[0] == 0:
-        return 0.0
-    quad = np.column_stack([outer, np.full(outer.shape[0], -k, dtype=np.int64)])
-    coeffs = u.gather(quad)
-    # others[r, i]: product of the coefficients of row r other than slot i
+def _e5(u: FourierField, k: int, outer, om_out) -> float:
+    quad = np.column_stack([*outer, np.full(om_out.size, -k, dtype=np.int64)]).ravel()
+    coeffs = u.gather(quad).reshape(-1, 4)
+    # others[r, i]: product of the coefficients of cell r other than slot i
     others = np.prod(np.where(np.eye(4, dtype=bool), 1, coeffs[:, None, :]), axis=2).ravel()
-    # the inner cells of every (row, slot) in one array, tagged by slot
-    tables = [d1_table(int(ki), u.max_mode) for ki in quad.ravel()]
-    slot = np.repeat(np.arange(quad.size), [t.triples.shape[0] for t in tables])
-    inner = np.concatenate([t.triples for t in tables])
-    om_in = np.concatenate([t.omega3 for t in tables])
-    om_o = om_out[slot // 4]
+    # the inner cells of every (cell, slot) mode in one grid, axis 0 the mode;
+    # the small sums of the largest mode cover those of every mode
+    vals = d1_small_sums(np.abs(quad).max())
+    ki, a, b = quad[:, None, None], vals[:, None], vals[None, :]
+    inner, ok = d1_cells(ki, a, b, u.max_mode)
+    om_in = d1_omega3(ki, a, b)
+    om_o = np.repeat(om_out, 4)[:, None, None]
     # drop pairs whose combined resonance vanishes exactly: those are
     # genuinely resonant and admit no antiderivative (reachable only with the
     # cut raised to 1 or more, as a test does; LL_RATIO excludes them)
-    keep = (np.abs(om_o) <= LL_RATIO * np.abs(om_in)) & (om_o + om_in != 0)
-    slot, inner, om_in, om_o = slot[keep], inner[keep], om_in[keep], om_o[keep]
-    prod_in = u.gather(inner[:, 0]) * u.gather(inner[:, 1]) * u.gather(inner[:, 2])
-    terms = quad.ravel()[slot] * np.real(others[slot] * prod_in
-                                         / (om_o.astype(np.float64) * (om_o + om_in)))
-    return abs(k) * k * float(np.sum(terms)) / FOUR_PI_SQ ** 2
+    ok &= (np.abs(om_o) <= LL_RATIO * np.abs(om_in)) & (om_o + om_in != 0)
+    slot = np.nonzero(ok)[0]
+    inner, om_in, om_o = inner[:, ok], om_in[ok], om_o.ravel()[slot]
+    prod_in = u.gather(inner[0]) * u.gather(inner[1]) * u.gather(inner[2])
+    terms = quad[slot] * np.real(others[slot] * prod_in
+                                 / (om_o.astype(np.float64) * (om_o + om_in)))
+    # 9: the three slot orders of the outer cell times those of the inner one
+    return 9 * abs(k) * k * float(np.sum(terms)) / FOUR_PI_SQ ** 2
 
 
 def energy_mode(u: FourierField, k: int) -> EnergyReport:
     """Modified energy of mode k: quadratic density plus the corrections,
-    each with unit coupling.
+    each with unit coupling. e31 and e5 share one masked grid of the D^1
+    cells of k.
 
     Corrections are defined to activate only for |k| above K_THRESHOLD,
     where the resonance denominators they divide by are uniformly large; below
@@ -133,9 +137,14 @@ def energy_mode(u: FourierField, k: int) -> EnergyReport:
     quad = 0.5 * abs(k) * float(np.abs(u.mode(k)) ** 2)
     if abs(k) <= K_THRESHOLD:
         return EnergyReport(k, quad, 0.0, 0.0, 0.0, quad)
-    e31 = _e31(u, k)
+    vals = d1_small_sums(k)
+    a, b = np.meshgrid(vals, vals, indexing="ij")
+    cells, ok = d1_cells(k, a, b, u.max_mode)
+    a, b, cells = a[ok], b[ok], cells[:, ok]
+    om = d1_omega3(k, a, b)
+    e31 = _e31(u, k, cells, a, b, om)
     e32 = _e32(u, k)
-    e5 = _e5(u, k)
+    e5 = _e5(u, k, cells, om)
     return EnergyReport(k, quad, e31, e32, e5, quad + e31 + e32 + e5)
 
 

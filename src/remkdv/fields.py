@@ -52,7 +52,8 @@ class FourierField:
     __slots__ = ("coeffs", "max_mode")
 
     def __init__(self, coeffs: Sequence[complex], copy: bool = True):
-        arr = np.array(coeffs, dtype=np.complex128, copy=copy)
+        # None: copy only where the cast to complex128 needs one
+        arr = np.array(coeffs, dtype=np.complex128, copy=True if copy else None)
         if arr.ndim != 1 or arr.size % 2 == 0:
             raise ValueError("expected a 1-d coefficient array of odd length 2K+1")
         self.coeffs = arr

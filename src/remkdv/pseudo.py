@@ -50,11 +50,6 @@ def symbol_one() -> SymbolFn:
     return SymbolFn(lambda k1, k2, k3: np.ones(np.broadcast(k1, k2, k3).shape), 1.0, "1")
 
 
-def _a_masks(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray):
-    """Indicator arrays of A1, A2, A3 with the priority tie-break (A1, then A2)."""
-    return tuple(a_cell(j, m1, m2, m3) for j in (1, 2, 3))
-
-
 def _check_shared_mode(*fields: FourierField) -> int:
     K = fields[0].max_mode
     for f in fields[1:]:

@@ -2,24 +2,24 @@
 
 Everything here is arithmetic on lattice triples (k1, k2, k3): the cubic
 resonance functions, the pair-sum magnitudes m1, m2, m3, the A1/A2/A3
-classification, the D / D1 / D2 split of nonresonant triples, the D1
-parametrization and the cached, read-only D1 cell tables (triples with exact
-Omega3) that the energy functionals sum over. Energy sums the median-cut D2
-cells as a convolution, with no cell list. Other modules take cells, pair
-sums, the A-cell tie-break and Omega3 from here.
+classification, the D / D1 / D2 split of nonresonant triples and the D1
+parametrization: d1_cells gives the D1 cells on a grid of output modes k and
+small pair sums (a, b), and d1_omega3 their exact Omega3. The energy
+functionals sum those grids; d1_triples lists the same cells as (n, 3) rows,
+one per slot order. Energy sums the median-cut D2 cells as a convolution, with no
+cell list. Other modules take cells, pair sums, the A-cell tie-break and
+Omega3 from here.
 
 The scalar functions work in Python integers, which are exact at any size.
-The array paths (classify_array, d1_cells and the table built on them)
-work in int64 and raise ValueError for |k_i|, |k| or bound >= INT64_BOUND
-= 2^21, so that the cube of every entry fits in 63 bits.
+The array paths (classify_array, d1_cells and d1_triples) work in int64 and
+raise ValueError for |k_i|, |k| or bound >= INT64_BOUND = 2^21, so that the
+cube of every entry fits in 63 bits.
 omega3_factored on numpy integers raises ValueError wherever its product of
-three pair sums could leave int64 (possible from |k_i| ~ 2^19.5 on; on the
-D1 tables two of the three pair sums are small and it stays far below).
+three pair sums could leave int64 (possible from |k_i| ~ 2^19.5 on).
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +42,6 @@ __all__ = [
     "d1_cells",
     "d1_omega3",
     "d1_triples",
-    "CellTable",
-    "d1_table",
 ]
 
 # D1 cut: m_med <= MED_RATIO * |k1+k2+k3|, with the constant frozen at 2^-9 so
@@ -244,21 +242,3 @@ def d1_triples(k: int, bound: int) -> np.ndarray:
     cells, ok = d1_cells(k, a.ravel(), b.ravel(), bound)
     cells = cells[:, ok].T
     return np.concatenate([cells[:, list(order)] for order in D1_BRANCHES])
-
-
-class CellTable(NamedTuple):
-    """Read-only cells of one output mode: (n, 3) triples and their exact Omega3."""
-
-    triples: np.ndarray
-    omega3: np.ndarray
-
-
-@lru_cache(maxsize=1024)
-def d1_table(k: int, bound: int) -> CellTable:
-    """Cached, read-only D1(k) cells; small (at most 192 rows at |k| <= 2048)."""
-    tri = d1_triples(k, bound)
-    table = CellTable(tri, omega3_factored(*tri.T))
-    for arr in table:
-        arr.flags.writeable = False
-    return table
-

@@ -40,9 +40,10 @@ from remkdv.fields import (
     phi_dyadic,
     sobolev_norm,
 )
-from remkdv.pseudo import _a_masks, ibp_symbols
+from remkdv.pseudo import ibp_symbols
 from remkdv.resonance import (
     MED_RATIO,
+    a_cell,
     classify,
     classify_array,
     d1_triples,
@@ -168,7 +169,7 @@ def test_criterion_2_partition_properties():
     ks = np.arange(-b, b + 1)
     k1, k2, k3 = np.meshgrid(ks, ks, ks, indexing="ij")
     m1, m2, m3 = np.abs(k2 + k3), np.abs(k1 + k3), np.abs(k1 + k2)
-    a1, a2, a3 = _a_masks(m1, m2, m3)
+    a1, a2, a3 = (a_cell(j, m1, m2, m3) for j in (1, 2, 3))
     assert np.array_equal(a1.astype(int) + a2 + a3, np.ones_like(k1))
     expected_a = (1 * a1 + 2 * a2 + 3 * a3).astype(np.int8)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from remkdv import energy
+from remkdv import energy, resonance
 from remkdv.diagnostics import decaying_profile
 from remkdv.energy import (
     FOUR_PI_SQ,
@@ -22,7 +22,7 @@ from remkdv.energy import (
 )
 from remkdv.fields import FourierField, phi_dyadic, sobolev_norm
 from remkdv.resonance import (INT64_BOUND, MED_RATIO, d1_cells, d1_omega3,
-                              d1_small_sums, d1_table, d1_triples, omega3)
+                              d1_small_sums, d1_triples, omega3)
 
 GOLDEN = Path(__file__).parent / "golden"
 K_BIG = 2048
@@ -114,12 +114,16 @@ class TestEnergyMode:
         assert rep.e31 != 0.0 and rep.e32 != 0.0
         assert rep.total == rep.quadratic + rep.e31 + rep.e32 + rep.e5
 
-    def test_repeat_call_builds_no_cell_table(self):
-        u = _random_real(K_BIG, seed=6, scale=1e-3)
-        first = energy_mode(u, K_MODE)
-        d1_before = d1_table.cache_info()
-        assert energy_mode(u, K_MODE) == first
-        assert d1_table.cache_info().misses == d1_before.misses
+    def test_lists_no_triples(self, monkeypatch):
+        # e31 and e5 sum D1 grids (d1_cells); the triple lister is never
+        # called, on a first call or a repeat, at a (k, K) no other test uses
+        def refuse(k, bound):
+            raise AssertionError("energy_mode listed triples")
+        monkeypatch.setattr(resonance, "d1_triples", refuse)
+        u = _random_real(1536, seed=6, scale=1e-3)
+        first = energy_mode(u, -1100)
+        assert first.e31 != 0.0
+        assert energy_mode(u, -1100) == first
 
     @pytest.mark.parametrize("eps", [0.05, 0.025])
     def test_initial_energy_matches_golden(self, eps):
@@ -180,14 +184,15 @@ class TestCorrectionOracles:
         ks = np.arange(K_THRESHOLD + 1, INT64_BOUND)
         assert np.all(3 * np.ceil(ks ** THETA2) <= ks)
 
-    def test_e5_matches_plain_loop(self, monkeypatch):
-        # inner cells come from d1_triples (itself scan-verified in the
-        # resonance tests); this re-walks the paired sum in plain Python.
+    @pytest.mark.parametrize("k", [K_MODE, -K_MODE])
+    def test_e5_matches_plain_loop(self, monkeypatch, k):
+        # a plain-Python walk over every row of d1_triples (itself
+        # scan-verified in the resonance tests): each of the nine slot orders
+        # of a pair of grid cells, and the sign of k, enters on its own.
         # e5 is 0 at LL_RATIO (test_e5_dormant_at_default_cut), so the cut
         # is raised to 1, where exactly resonant pairs become reachable
         monkeypatch.setattr(energy, "LL_RATIO", 1.0)
         u = _random_real(K_BIG, seed=9)
-        k = K_MODE
         outer = d1_triples(k, K_BIG)
         total = 0.0
         for row in outer:
@@ -209,7 +214,7 @@ class TestCorrectionOracles:
                     prod = (_mode(u, int(irow[0])) * _mode(u, int(irow[1]))
                             * _mode(u, int(irow[2])))
                     total += ki * (others * prod / (om_out * (om_out + om_in))).real
-        want = k * k * total / FOUR_PI_SQ ** 2
+        want = abs(k) * k * total / FOUR_PI_SQ ** 2
         got = energy_mode(u, k).e5
         assert got != 0.0
         assert got == pytest.approx(want, rel=1e-10)

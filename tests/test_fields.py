@@ -36,6 +36,16 @@ class TestFourierField:
         with pytest.raises(ValueError):
             FourierField(np.zeros((3, 3), dtype=complex))
 
+    def test_copy_false_casts_when_it_must(self):
+        # copy=False copies only where the cast to complex128 needs it
+        for coeffs in (np.array([0.0, 1.0, 0.0]), [0.0, 1.0, 0.0]):
+            f = FourierField(coeffs, copy=False)
+            assert f.coeffs.dtype == np.complex128
+            assert f.coeffs.tolist() == [0.0, 1.0, 0.0]
+        c = np.array([0.0, 1.0 + 2.0j, 0.0])
+        assert np.shares_memory(FourierField(c, copy=False).coeffs, c)
+        assert not np.shares_memory(FourierField(c).coeffs, c)
+
     def test_mode_lookup(self):
         f = FourierField.from_modes(4, {2: 1.0 + 2.0j, -2: 1.0 - 2.0j})
         assert f.mode(2) == 1.0 + 2.0j

@@ -13,7 +13,6 @@ from remkdv.resonance import (
     d1_cells,
     d1_omega3,
     d1_small_sums,
-    d1_table,
     d1_triples,
     dyadic_shadow,
     omega3,
@@ -324,17 +323,6 @@ class TestCells:
             for order in D1_BRANCHES:
                 tri = cells[list(order)][:, ok].tolist()
                 assert [omega3(*t) for t in zip(*tri)] == want
-
-    def test_tables_hold_triples_and_exact_omega3(self):
-        want, table = d1_triples(1300, 2048), d1_table(1300, 2048)
-        assert np.array_equal(table.triples, want)
-        assert table.omega3.tolist() == [omega3(*map(int, r)) for r in want]
-
-    def test_cached_tables_are_read_only(self):
-        for arr in d1_table(1300, 2048):
-            with pytest.raises(ValueError):
-                arr[0] = 0
-        assert d1_table(1300, 2048) is d1_table(1300, 2048)
 
 
 class TestD2Enumeration:
