@@ -51,7 +51,7 @@ DEFAULTS: dict[str, dict] = {
     "simulate": {
         "seed": 0,
         "model": {"max_mode": 128, "dt": 1e-4, "t_final": 0.25, "sign": 1,
-                  "renormalized": True, "dealias": True, "integrator": "ifrk4"},
+                  "renormalized": True, "integrator": "ifrk4"},
         "profile": {"type": "single_mode", "eps": 0.1, "sigma": 2.0, "path": None},
         "sample_every": 250,
         "gauge": "none",
@@ -80,7 +80,7 @@ DEFAULTS: dict[str, dict] = {
     "norms": {
         "seed": 0,
         "model": {"max_mode": 128, "dt": 1e-4, "t_final": 0.25, "sign": 1,
-                  "renormalized": True, "dealias": True, "integrator": "ifrk4"},
+                  "renormalized": True, "integrator": "ifrk4"},
         "profile": {"type": "decaying", "eps": 0.1, "sigma": 2.0},
         "sample_every": 125,
         "s": 1.0 / 3.0,
@@ -211,15 +211,11 @@ def _build_profile(section: dict, max_mode: int, seed: int) -> FourierField:
     if not section["path"]:
         raise ConfigError("profile.type=file requires profile.path")
     try:
-        prof = profile_from_csv(section["path"])
+        prof = profile_from_csv(section["path"], max_mode)
         prof.require_real()
     except (OSError, ValueError, csv.Error) as exc:
         raise ConfigError(f"profile.path: {exc}") from exc
-    if prof.max_mode > max_mode:
-        raise ConfigError("profile file exceeds model.max_mode")
-    out = np.zeros(2 * max_mode + 1, dtype=np.complex128)
-    out[max_mode - prof.max_mode: max_mode + prof.max_mode + 1] = prof.coeffs
-    return FourierField(out, copy=False)
+    return prof
 
 
 def _write(out_dir: Path, command: str, cfg: dict, results: dict,

@@ -90,12 +90,14 @@ def _is_int(text: str) -> bool:
     return True
 
 
-def profile_from_csv(path: str) -> FourierField:
-    """Read (k, re, im) rows; max_mode is the largest |k| present.
+def profile_from_csv(path: str, max_mode: int) -> FourierField:
+    """Read (k, re, im) rows into a field of degree max_mode; modes the file
+    does not give are zero.
 
     A first row whose first field is not an integer is a header; blank lines
-    are skipped. Every other row is an integer k and two finite floats, with
-    no k twice: anything else raises ValueError naming the file and the line.
+    are skipped. Every other row is an integer k with |k| <= max_mode and two
+    finite floats, with no k twice: anything else raises ValueError naming
+    the file and the line.
     """
     rows = {}
     with open(path, newline="") as fh:
@@ -108,6 +110,9 @@ def profile_from_csv(path: str) -> FourierField:
             except ValueError:
                 raise ValueError(f"{path}, line {line}: expected an integer k and "
                                  f"two floats, got {row}") from None
+            if abs(k) > max_mode:
+                raise ValueError(f"{path}, line {line}: mode {k} outside "
+                                 f"[-{max_mode}, {max_mode}]")
             if not np.isfinite(c):
                 raise ValueError(f"{path}, line {line}: non-finite coefficient of mode {k}")
             if k in rows:
@@ -115,8 +120,7 @@ def profile_from_csv(path: str) -> FourierField:
             rows[k] = c
     if not rows:
         raise ValueError(f"no coefficient rows in {path}")
-    K = max(abs(k) for k in rows)
-    return FourierField.from_modes(K, rows)
+    return FourierField.from_modes(max_mode, rows)
 
 
 def profile_to_csv(field: FourierField, path: str) -> None:

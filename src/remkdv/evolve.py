@@ -58,15 +58,13 @@ class ModelConfig:
     t_final: float
     sign: int = 1
     renormalized: bool = True
-    dealias: bool = True
     integrator: str = "ifrk4"
 
     def __post_init__(self):
         # the types first: a bool is no number here, and "no" is no flag
         ints, reals = (int, np.integer), (int, float, np.integer, np.floating)
         for key, kinds in (("max_mode", ints), ("dt", reals), ("t_final", reals),
-                           ("sign", ints), ("renormalized", bool), ("dealias", bool),
-                           ("integrator", str)):
+                           ("sign", ints), ("renormalized", bool), ("integrator", str)):
             val = getattr(self, key)
             if not isinstance(val, kinds) or (isinstance(val, bool) and kinds is not bool):
                 raise ValueError(f"{key} must not be of type {type(val).__name__}")
@@ -83,9 +81,6 @@ class ModelConfig:
         if name not in INTEGRATORS:
             raise ValueError(f"unknown integrator {self.integrator!r}; "
                              f"known: {', '.join(sorted(INTEGRATORS))}")
-        if name == "exact-phase" and not self.dealias:
-            raise ValueError("the exact-phase integrator sums the triples "
-                             "exactly; dealias=False has no meaning for it")
 
     @property
     def n_steps(self) -> int:
@@ -119,16 +114,16 @@ class BlowUpError(RuntimeError):
 
 
 @lru_cache(maxsize=32)
-def _kernel_plan(max_mode: int, dealias: bool):
-    """Real grid length of the cubic, and d/dx on the modes 0..K."""
-    n = _fft.next_fast_len(4 * max_mode + 1, real=True) if dealias else 2 * max_mode + 1
+def _kernel_plan(max_mode: int):
+    """Real grid length of the exact Galerkin cubic, and d/dx on the modes 0..K."""
+    n = _fft.next_fast_len(4 * max_mode + 1, real=True)
     return n, deriv_multiplier(np.arange(max_mode + 1))
 
 
 @lru_cache(maxsize=32)
-def _transport_plan(max_mode: int, dealias: bool, sign: int):
+def _transport_plan(max_mode: int, sign: int):
     """The grid length and -sign d/dx, the factor every transport ends on."""
-    n, d = _kernel_plan(max_mode, dealias)
+    n, d = _kernel_plan(max_mode)
     return n, -sign * d
 
 
@@ -162,10 +157,10 @@ _CUBE_BUFFERS = _CubeBuffers()
 
 
 def _cube_half(h: np.ndarray, n: int) -> np.ndarray:
-    """Modes 0..K of u^3, u real with modes 0..K = h, on n grid points. With
-    n >= 4K+1 the pointwise cube is the exact Galerkin truncation (u^3 has
-    modes up to 3K, and 4K+1 >= 3K + K + 1 leaves no wraparound in the
-    retained band); n = 2K+1 aliases. The result is a new array."""
+    """Modes 0..K of u^3, u real with modes 0..K = h, on n >= 4K+1 grid
+    points, where the pointwise cube is the exact Galerkin truncation (u^3
+    has modes up to 3K, and 4K+1 >= 3K + K + 1 leaves no wraparound in the
+    retained band). The result is a new array."""
     m = h.shape[-1]
     pad, vals, spec = _CUBE_BUFFERS.get(h.shape, n)
     pad[..., :m] = h             # the modes above m stay zero
@@ -179,6 +174,15 @@ def _mirror(h: np.ndarray) -> np.ndarray:
     return np.concatenate((np.conj(h[..., :0:-1]), h), axis=-1)
 
 
+def _real_rows(h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """How every step ends: the real rows with modes 0..K = h, their
+    (exactly conserved) mean pinned to that of the rows c."""
+    out = _mirror(h)
+    K = h.shape[-1] - 1
+    out[..., K] = c[..., K]
+    return out
+
+
 def _mass_half(h: np.ndarray):
     """P0(u^2) = 2 sum_{k>=0} |h_k|^2 - |h_0|^2 of each row, shaped to
     broadcast against h."""
@@ -187,21 +191,21 @@ def _mass_half(h: np.ndarray):
 
 def _transport(h: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Modes 0..K of -sign d/dx(u^3 [- 3 P0(u^2) u]), u real with modes h."""
-    n, sd = _transport_plan(cfg.max_mode, cfg.dealias, cfg.sign)
+    n, sd = _transport_plan(cfg.max_mode, cfg.sign)
     cub = _cube_half(h, n)
     if cfg.renormalized:
         cub -= 3.0 * _mass_half(h) * h
     return sd * cub
 
 
-def cubic_coefficients(u: FourierField, dealias: bool = True) -> FourierField:
+def cubic_coefficients(u: FourierField) -> FourierField:
     """Coefficients of u^3 on [-K, K] for a real u (ValueError otherwise)."""
     u.require_real()  # the half-spectrum kernel has no room for a complex field
-    n = _kernel_plan(u.max_mode, dealias)[0]
+    n = _kernel_plan(u.max_mode)[0]
     return FourierField(_mirror(_cube_half(u.coeffs[u.max_mode:], n)), copy=False)
 
 
-def rhs_split(u: FourierField, dealias: bool = True) -> tuple[FourierField, FourierField]:
+def rhs_split(u: FourierField) -> tuple[FourierField, FourierField]:
     """The transport tendency d/dx(u^3 - 3 P0(u^2) u) split as A + B.
 
     B collects the exactly-resonant diagonal, -3 d/dx(|u^(k)|^2 u^(k)) per
@@ -210,7 +214,7 @@ def rhs_split(u: FourierField, dealias: bool = True) -> tuple[FourierField, Four
     purely imaginary, and A's phases rotate at the cubic resonance rate.
     u must be real (ValueError otherwise).
     """
-    cub = cubic_coefficients(u, dealias)
+    cub = cubic_coefficients(u)
     d = deriv_multiplier(u.modes)
     diag = np.abs(u.coeffs) ** 2 * u.coeffs
     a = d * (cub.coeffs - 3.0 * u.mass() * u.coeffs + 3.0 * diag)
@@ -221,7 +225,7 @@ def rhs_split(u: FourierField, dealias: bool = True) -> tuple[FourierField, Four
 def rhs(u: FourierField, config: ModelConfig) -> FourierField:
     """Full tendency u_t = -u_xxx - sign * d/dx(u^3 [- 3 P0(u^2) u]) of a real u."""
     u.require_real()
-    d = _kernel_plan(config.max_mode, config.dealias)[1]
+    d = _kernel_plan(config.max_mode)[1]
     h = u.coeffs[u.max_mode:]
     return FourierField(_mirror(-(d ** 3) * h + _transport(h, config)), copy=False)
 
@@ -236,7 +240,7 @@ def _step_plan(max_mode: int, dt: float):
 
 
 def _ifrk4_coeffs(c: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    # all four stages on modes 0..K; mirrored once, with the mean pinned
+    # all four stages on modes 0..K
     E, E2, dtE, twoE = _step_plan(cfg.max_mode, cfg.dt)
     K, dt = cfg.max_mode, cfg.dt
     h = c[..., K:]
@@ -245,17 +249,7 @@ def _ifrk4_coeffs(c: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     k2 = _transport(E * (h + 0.5 * dt * k1), cfg)
     k3 = _transport(E * h + 0.5 * dt * k2, cfg)
     k4 = _transport(e2h + dtE * k3, cfg)
-    out = _mirror(e2h + (dt / 6.0) * (E2 * k1 + twoE * (k2 + k3) + k4))
-    out[..., K] = c[..., K]
-    return out
-
-
-def _resymmetrize(out: np.ndarray, c: np.ndarray, max_mode: int) -> np.ndarray:
-    """Restore the Hermitian symmetry and pin the (exactly conserved) mean,
-    row by row along the last axis."""
-    out = 0.5 * (out + np.conj(out[..., ::-1]))
-    out[..., max_mode] = c[..., max_mode]
-    return out
+    return _real_rows(e2h + (dt / 6.0) * (E2 * k1 + twoE * (k2 + k3) + k4), c)
 
 
 # ---------------------------------------------------------- exact phase
@@ -415,8 +409,9 @@ def _phase_plan(max_mode: int, dt: float):
 
 def _exact_phase_coeffs(c: np.ndarray, cfg: ModelConfig,
                         block: int | None = None) -> np.ndarray:
-    ks, E = _phase_plan(cfg.max_mode, cfg.dt)
-    rows = c.reshape(-1, c.shape[-1])
+    K = cfg.max_mode
+    ks, E = _phase_plan(K, cfg.dt)
+    rows = _mirror(c.reshape(-1, c.shape[-1])[:, K:])
     m = len(rows)
     lin = E * rows
     Q = _inverse_resonance_cube(np.concatenate((lin, rows)), block)
@@ -424,11 +419,13 @@ def _exact_phase_coeffs(c: np.ndarray, cfg: ModelConfig,
     amp = np.abs(v) ** 2
     offset = 0.0 if cfg.renormalized else _row_mass(v)[..., None]
     out = np.exp(6j * np.pi * cfg.sign * cfg.dt * ks * (amp - offset)) * v
-    return _resymmetrize(out, rows, cfg.max_mode).reshape(c.shape)
+    return _real_rows(out[:, K:], rows).reshape(c.shape)
 
 
-# name -> one step (coefficients, config) -> new coefficients; both act on
-# the last axis, so a (..., 2K+1) stack steps each row bit for bit as alone
+# name -> one step (coefficients, config) -> new coefficients. Both read a
+# row as the real field with its modes k >= 0 and end through _real_rows;
+# both act on the last axis, so a (..., 2K+1) stack steps each row bit for
+# bit as alone
 INTEGRATORS = {
     "ifrk4": _ifrk4_coeffs,
     "exact-phase": _exact_phase_coeffs,

@@ -26,7 +26,6 @@ __all__ = [
     "phi",
     "phi_dyadic",
     "dyadic_blocks",
-    "project_mode",
     "project_dyadic",
     "project_leq",
     "riesz_potential",
@@ -104,13 +103,14 @@ class FourierField:
         """max_k |u_hat(-k) - conj(u_hat(k))|; zero exactly for real fields."""
         return float(np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs))))
 
-    def is_real(self, tol: float = HERMITIAN_TOL) -> bool:
-        return self.hermitian_defect() <= tol
+    def is_real(self) -> bool:
+        return self.hermitian_defect() <= HERMITIAN_TOL
 
-    def require_real(self, tol: float = HERMITIAN_TOL) -> None:
+    def require_real(self) -> None:
         defect = self.hermitian_defect()
-        if defect > tol:
-            raise ValueError(f"field is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+        if defect > HERMITIAN_TOL:
+            raise ValueError(f"field is not Hermitian (defect {defect:.3e} > "
+                             f"{HERMITIAN_TOL:.1e})")
 
     def hermitized(self) -> "FourierField":
         """Nearest Hermitian field: average coeffs with the reflected conjugate."""
@@ -250,17 +250,6 @@ def dyadic_blocks(k_max: int) -> list[int]:
         blocks.append(N)
         N *= 2
     return blocks
-
-
-def project_mode(field: FourierField, k: int) -> FourierField:
-    """Keep only modes +-k (so a real field stays real)."""
-    out = FourierField.zeros(field.max_mode)
-    if abs(k) <= field.max_mode:
-        K = field.max_mode
-        out.coeffs[k + K] = field.coeffs[k + K]
-        if k != 0:
-            out.coeffs[-k + K] = field.coeffs[-k + K]
-    return out
 
 
 def project_dyadic(field: FourierField, N: int) -> FourierField:

@@ -68,21 +68,34 @@ class TestProfiles:
         u = random_real_field(12, np.random.default_rng(1), decay=1.0)
         path = tmp_path / "profile.csv"
         profile_to_csv(u, str(path))
-        back = profile_from_csv(str(path))
+        back = profile_from_csv(str(path), 12)
         assert back.max_mode == 12
         assert np.array_equal(back.coeffs, u.coeffs)
+
+    def test_csv_read_at_max_mode(self, tmp_path):
+        # the file's modes land in a field of the asked degree, the others
+        # zero; a mode beyond that degree is refused by its line
+        u = random_real_field(12, np.random.default_rng(1), decay=1.0)
+        path = tmp_path / "profile.csv"
+        profile_to_csv(u, str(path))
+        back = profile_from_csv(str(path), 20)
+        assert back.max_mode == 20
+        assert np.array_equal(back.coeffs[8:33], u.coeffs)
+        assert not back.coeffs[:8].any() and not back.coeffs[33:].any()
+        with pytest.raises(ValueError, match=r"profile.csv, line 2: mode -12 outside \[-11, 11\]"):
+            profile_from_csv(str(path), 11)
 
     def test_csv_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("k,re,im\n")
         with pytest.raises(ValueError, match="no coefficient rows"):
-            profile_from_csv(str(path))
+            profile_from_csv(str(path), 4)
 
     def test_csv_signed_first_row_is_data(self, tmp_path):
         # a first row is a header only when int() refuses its k
         path = tmp_path / "signed.csv"
         path.write_text("+1,0.5,0\n-1,0.5,0\n")
-        u = profile_from_csv(str(path))
+        u = profile_from_csv(str(path), 1)
         assert u.mode(1) == 0.5 and u.mode(-1) == 0.5
         u.require_real()
 
@@ -96,12 +109,14 @@ class TestProfiles:
         pytest.param("k,re,im\n0,1,0\n1,nan,0\n", 3, id="nan"),
         pytest.param("k,re,im\n1,0.05,0\n-1,0.05,inf\n", 3, id="inf"),
         pytest.param("k,re,im\n1,0.05,0\n-1,0.05,0\n1,0.05,0\n", 4, id="repeated_k"),
+        # refused before any array is sized by it
+        pytest.param("k,re,im\n1,0.05,0\n1000000000000000,0,0\n", 3, id="mode_beyond_max_mode"),
     ])
     def test_csv_bad_row_rejected(self, tmp_path, text, line):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"bad.csv, line {line}:"):
-            profile_from_csv(str(path))
+            profile_from_csv(str(path), 4)
 
     def test_random_real_field(self):
         u = random_real_field(16, np.random.default_rng(2), decay=2.0)
@@ -657,6 +672,19 @@ class TestCli:
         assert rc == 3
         assert capsys.readouterr().err.startswith("config error: profile.path:")
 
+    def test_exit_3_on_profile_mode_beyond_max_mode(self, tmp_path, capsys):
+        # the file's largest mode is checked against model.max_mode before
+        # any field is sized by it
+        path = tmp_path / "profile.csv"
+        path.write_text("1000000000000000,0,0\n")
+        rc = main(["simulate", "--out", str(tmp_path), *FAST_SIM,
+                   "--override", "profile.type=file",
+                   "--override", f"profile.path={path}"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: profile.path:")
+        assert "line 1: mode 1000000000000000 outside [-16, 16]" in err
+
     def test_profile_file_runs(self, tmp_path):
         path = tmp_path / "profile.csv"
         profile_to_csv(single_mode_profile(8, 0.1), str(path))
@@ -781,6 +809,8 @@ class TestCli:
         ("smoothing", "model.dealias=false"),
         ("smoothing", "profile.type=decaying"),
         ("smoothing", "model.integrator=bogus"),
+        ("simulate", "model.dealias=false"),
+        ("norms", "model.dealias=false"),
         ("energy-drift", "energy.alpha=2.0"),
     ])
     def test_exit_3_on_unhonoured_key(self, tmp_path, capsys, command, override):

@@ -73,7 +73,7 @@ class TestModelConfig:
         dict(t_final=float("inf")),
         dict(integrator=None),
         dict(renormalized="no"),
-        dict(dealias=1),
+        dict(renormalized=1),
         dict(sign=True),
         dict(sign=1.0),
         dict(dt=True),
@@ -89,10 +89,6 @@ class TestModelConfig:
 
     def test_registry_names(self):
         assert set(INTEGRATORS) == {"ifrk4", "exact-phase"}
-
-    def test_exact_phase_requires_dealias(self):
-        with pytest.raises(ValueError, match="dealias"):
-            _cfg(integrator="exact-phase", dealias=False)
 
     def test_frozen(self):
         cfg = _cfg()
@@ -120,15 +116,14 @@ def _wrapped_cube(c, n):
 
 
 class TestCubic:
-    # with dealias the real grid is 18 points at K = 4 (even) and 25 at K = 6
-    # (odd, test_matches_triple_convolution); without, 2K+1 and aliased
-    @pytest.mark.parametrize("K, dealias, n", [(4, True, 18), (4, False, 9),
-                                               (6, False, 13)])
-    def test_plan_kernel_matches_triple_convolution(self, K, dealias, n):
-        assert _kernel_plan(K, dealias)[0] == n
+    def test_plan_kernel_matches_triple_convolution(self):
+        # the real grid is 18 points at K = 4 (even) and 25 at K = 6 (odd,
+        # test_matches_triple_convolution)
+        K, n = 4, 18
+        assert _kernel_plan(K)[0] == n
         u = _random_real(K, seed=K, scale=1.0)
         want = _wrapped_cube(u.coeffs, n)
-        got = cubic_coefficients(u, dealias=dealias).coeffs
+        got = cubic_coefficients(u).coeffs
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("extra", [0, 1, 7])
@@ -141,14 +136,13 @@ class TestCubic:
         got = _cube_half(u.coeffs[K:], n)
         assert np.max(np.abs(got - want[K:])) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("K, dealias", [(4, True), (6, True), (6, False),
-                                            (256, True), (2048, True)])
-    def test_direct_pocketfft_equals_public_scipy_fft(self, K, dealias, monkeypatch):
+    @pytest.mark.parametrize("K", [4, 6, 256, 2048])
+    def test_direct_pocketfft_equals_public_scipy_fft(self, K, monkeypatch):
         # the cubic's c2r/r2c run on scipy's compiled pocketfft module,
         # loaded without scipy.fft; they and the cube must be the public
         # scipy.fft and numpy.fft functions' bit for bit, on the module and
         # on its numpy.fft fallback alike
-        n = _kernel_plan(K, dealias)[0]
+        n = _kernel_plan(K)[0]
         h = np.array([_random_real(K, seed=s, scale=1.0).coeffs[K:] for s in (1, 2)])
         pad = np.zeros((2, n // 2 + 1), dtype=np.complex128)
         pad[:, :K + 1] = h
@@ -212,7 +206,7 @@ class TestCubic:
 
     def test_matches_triple_convolution(self):
         K = 6
-        assert _kernel_plan(K, True)[0] == 25   # an odd real grid
+        assert _kernel_plan(K)[0] == 25   # an odd real grid
         u = _random_real(K, seed=3, scale=1.0)
         got = cubic_coefficients(u)
         ks = np.arange(-K, K + 1)
@@ -234,15 +228,6 @@ class TestCubic:
         want[K + 1] = want[K - 1] = 3.0 / 8.0
         want[K + 3] = want[K - 3] = 1.0 / 8.0
         assert np.max(np.abs(got.coeffs - want)) <= 1e-14
-
-    def test_dealias_false_aliases(self):
-        # on the short 2K+1 grid the cube wraps around; a generic field must
-        # come out different from the exact Galerkin truncation
-        K = 8
-        u = _random_real(K, seed=1, scale=1.0)
-        exact = cubic_coefficients(u, dealias=True)
-        aliased = cubic_coefficients(u, dealias=False)
-        assert np.max(np.abs(exact.coeffs - aliased.coeffs)) > 1e-3
 
     def test_real_in_real_out(self):
         u = _random_real(12, seed=5, scale=1.0)
@@ -412,7 +397,7 @@ def _c2c_ifrk4_step(c, cfg):
     padded grid for each stage, then averaging with the reflected conjugate
     and pinning the mean."""
     K, dt = cfg.max_mode, cfg.dt
-    n = scipy.fft.next_fast_len(4 * K + 1) if cfg.dealias else 2 * K + 1
+    n = scipy.fft.next_fast_len(4 * K + 1)
     idx = np.arange(-K, K + 1) % n
     d = deriv_multiplier(np.arange(-K, K + 1))
     E = np.exp(0.5 * dt * -(d ** 3))
@@ -450,26 +435,39 @@ class TestHalfSpectrumStep:
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), i
 
     @pytest.mark.parametrize("renormalized", [True, False])
-    @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_matches_reference_on_every_model(self, renormalized, dealias, sign):
+    def test_matches_reference_on_every_model(self, renormalized, sign):
         K = 24
-        cfg = _cfg(max_mode=K, dt=1e-4, sign=sign, renormalized=renormalized,
-                   dealias=dealias)
+        cfg = _cfg(max_mode=K, dt=1e-4, sign=sign, renormalized=renormalized)
         c = _random_real(K, seed=3, scale=0.1).coeffs
         want = _c2c_ifrk4_step(c, cfg)
         assert np.max(np.abs(_ifrk4_coeffs(c, cfg) - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_output_hermitian_bitwise_and_mean_pinned(self):
+    @pytest.mark.parametrize("integrator", sorted(INTEGRATORS))
+    def test_output_hermitian_bitwise_and_mean_pinned(self, integrator):
         K = 64
         c = _random_real(K, seed=14, scale=0.3).coeffs.copy()
         c[K] = 0.125
-        cfg = _cfg(max_mode=K, dt=1e-3)
-        out = _ifrk4_coeffs(c, cfg)
+        cfg = _cfg(max_mode=K, dt=1e-3, integrator=integrator)
+        out = INTEGRATORS[integrator](c, cfg)
         assert np.array_equal(out[:K], np.conj(out[:K:-1]))
         assert out[K] == c[K]
         nxt = step(SimulationState(0.0, FourierField(c)), cfg).field
         assert nxt.hermitian_defect() == 0.0 and nxt.mode(0) == 0.125
+
+    @pytest.mark.parametrize("integrator", sorted(INTEGRATORS))
+    def test_reads_the_modes_k_ge_0(self, integrator):
+        # a real row and the same row with its negative modes moved by 1e-12,
+        # inside HERMITIAN_TOL, are one real field to both integrators: they
+        # step to the same bits
+        K = 32
+        c = _random_real(K, seed=7, scale=0.3).coeffs
+        moved = c.copy()
+        moved[:K] += 1e-12 * (1 + 1j)
+        FourierField(moved).require_real()
+        cfg = _cfg(max_mode=K, dt=1e-3, integrator=integrator)
+        assert np.array_equal(INTEGRATORS[integrator](moved, cfg),
+                              INTEGRATORS[integrator](c, cfg))
 
 
 class TestBatchedStep:
@@ -505,11 +503,9 @@ class TestBatchedStep:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("renormalized", [True, False])
-    @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_stack_on_every_model(self, renormalized, dealias, sign):
-        cfg = _cfg(max_mode=24, dt=1e-4, sign=sign, renormalized=renormalized,
-                   dealias=dealias)
+    def test_stack_on_every_model(self, renormalized, sign):
+        cfg = _cfg(max_mode=24, dt=1e-4, sign=sign, renormalized=renormalized)
         rows = [_random_real(24, seed=s, scale=0.1).coeffs for s in (1, 2)]
         got = _ifrk4_coeffs(np.array(rows), cfg)
         for g, r in zip(got, rows):
@@ -534,7 +530,7 @@ class TestBatchedStep:
         # the kernel reuses its work arrays per stack shape; what it returns
         # must not
         K = 32
-        n = _kernel_plan(K, True)[0]
+        n = _kernel_plan(K)[0]
         h1, h2 = (_random_real(K, seed=s, scale=1.0).coeffs[K:] for s in (1, 2))
         first = _cube_half(h1, n)
         kept = first.copy()

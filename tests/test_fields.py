@@ -13,7 +13,6 @@ from remkdv.fields import (
     phi_dyadic,
     project_dyadic,
     project_leq,
-    project_mode,
     riesz_potential,
     sobolev_norm,
     synthesize,
