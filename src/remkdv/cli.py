@@ -343,7 +343,7 @@ COMMANDS = {
 EXIT_CODES = (
     ((ConfigError, json.JSONDecodeError, OSError), 3, "config error"),
     (BlowUpError, 2, "blow-up"),
-    ((ValueError, RuntimeError), 2, "runtime error"),
+    ((ValueError, RuntimeError, MemoryError), 2, "runtime error"),
 )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .energy import energy_mode
-from .evolve import ModelConfig, _run, rhs_split
+from .evolve import ModelConfig, _run, _stack_real, rhs_split
 from .fields import (FourierField, phi_dyadic, riesz_potential, sobolev_norm,
                      space_time_norm, xsb_norm_diagnostic)
 from .pseudo import verify_ibp
@@ -380,9 +380,7 @@ def smoothing_scan(base: FourierField, model: ModelConfig, eps_list: list[float]
     `simulate` consumes, so the scan raises BlowUpError for the first listed
     amplitude that blows up, at its own time, with its last finite state.
     """
-    base.require_real()
-    if base.max_mode != model.max_mode:
-        raise ValueError("initial data max_mode differs from config")
+    _stack_real([base], model)
     report = SmoothingReport(list(eps_list), list(watch_modes))
     amps = list(dict.fromkeys(eps_list))
     if amps:

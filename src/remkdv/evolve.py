@@ -22,6 +22,10 @@ The evolved equation, in the renormalized form, is
 with P0(u^2) the spatial mean of u^2 (conserved). The plain form drops the
 mean-correction. Both conserve the L2 norm exactly at the Galerkin level, so
 L2 drift is a direct measure of time-stepping error.
+
+Inside a run a real field is its modes k = 0..K, a (..., K+1) row; the
+centered 2K+1 coefficients of a FourierField appear only where the run starts
+and samples. Every P0(u^2) here is _mass_half of the modes k >= 0.
 """
 from __future__ import annotations
 
@@ -127,9 +131,9 @@ def _transport_plan(max_mode: int, sign: int):
     return n, -sign * d
 
 
-# The IFRK4 kernel below acts on the last axis: h is (..., K+1) and c is
-# (..., 2K+1), so one irfft/rfft pair per stage steps a stack of independent
-# fields, each row bit for bit as if it were stepped alone.
+# The IFRK4 kernel below acts on the last axis of (..., K+1) rows, so one
+# irfft/rfft pair per stage steps a stack of independent fields, each row bit
+# for bit as if it were stepped alone.
 
 class _CubeBuffers(threading.local):
     """The padded spectrum, grid and spectrum arrays of _cube_half, one set
@@ -174,19 +178,17 @@ def _mirror(h: np.ndarray) -> np.ndarray:
     return np.concatenate((np.conj(h[..., :0:-1]), h), axis=-1)
 
 
-def _real_rows(h: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """How every step ends: the real rows with modes 0..K = h, their
-    (exactly conserved) mean pinned to that of the rows c."""
-    out = _mirror(h)
-    K = h.shape[-1] - 1
-    out[..., K] = c[..., K]
+def _pin_mean(out: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """How every step ends: the new rows out with their (exactly conserved)
+    mean set back to that of the rows h, in place."""
+    out[..., 0] = h[..., 0]
     return out
 
 
 def _mass_half(h: np.ndarray):
-    """P0(u^2) = 2 sum_{k>=0} |h_k|^2 - |h_0|^2 of each row, shaped to
-    broadcast against h."""
-    return 2.0 * _row_mass(h)[..., None] - np.abs(h[..., :1]) ** 2
+    """P0(u^2) = 2 sum_{k>=0} |h_k|^2 - |h_0|^2 of each row h of modes 0..K,
+    summed along the last axis: a row rounds the same in any stack."""
+    return 2.0 * np.vecdot(h, h).real - np.abs(h[..., 0]) ** 2
 
 
 def _transport(h: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -194,7 +196,7 @@ def _transport(h: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     n, sd = _transport_plan(cfg.max_mode, cfg.sign)
     cub = _cube_half(h, n)
     if cfg.renormalized:
-        cub -= 3.0 * _mass_half(h) * h
+        cub -= 3.0 * _mass_half(h)[..., None] * h
     return sd * cub
 
 
@@ -217,7 +219,7 @@ def rhs_split(u: FourierField) -> tuple[FourierField, FourierField]:
     cub = cubic_coefficients(u)
     d = deriv_multiplier(u.modes)
     diag = np.abs(u.coeffs) ** 2 * u.coeffs
-    a = d * (cub.coeffs - 3.0 * u.mass() * u.coeffs + 3.0 * diag)
+    a = d * (cub.coeffs - 3.0 * _mass_half(u.coeffs[u.max_mode:]) * u.coeffs + 3.0 * diag)
     b = d * (-3.0 * diag)
     return FourierField(a, copy=False), FourierField(b, copy=False)
 
@@ -239,17 +241,15 @@ def _step_plan(max_mode: int, dt: float):
     return E, E * E, dt * E, 2.0 * E
 
 
-def _ifrk4_coeffs(c: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    # all four stages on modes 0..K
+def _ifrk4_coeffs(h: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     E, E2, dtE, twoE = _step_plan(cfg.max_mode, cfg.dt)
-    K, dt = cfg.max_mode, cfg.dt
-    h = c[..., K:]
+    dt = cfg.dt
     e2h = E2 * h
     k1 = _transport(h, cfg)
     k2 = _transport(E * (h + 0.5 * dt * k1), cfg)
     k3 = _transport(E * h + 0.5 * dt * k2, cfg)
     k4 = _transport(e2h + dtE * k3, cfg)
-    return _real_rows(e2h + (dt / 6.0) * (E2 * k1 + twoE * (k2 + k3) + k4), c)
+    return _pin_mean(e2h + (dt / 6.0) * (E2 * k1 + twoE * (k2 + k3) + k4), h)
 
 
 # ---------------------------------------------------------- exact phase
@@ -321,13 +321,14 @@ def _cube_plan(max_mode: int, block: int):
     return A, W, nodes, lam, nv, rn, m1, m2, tw, rnn, m3, rhat
 
 
-def _inverse_resonance_cube(g: np.ndarray, block: int | None = None) -> np.ndarray:
+def _inverse_resonance_cube(h: np.ndarray, block: int | None = None) -> np.ndarray:
     """Q_k = sum over nondegenerate triples k1+k2+k3 = k of
-    g1 g2 g3 / Omega3(k1, k2, k3), for every row of the (m, 2K+1) array g of
-    Hermitian coefficient vectors. Entry k = 0 is left at zero: every use
-    multiplies it by d/dx. Exact up to the Chebyshev interpolation of the
-    far field (relative error near 1e-15); block=None picks _default_block."""
-    g = np.atleast_2d(np.asarray(g, dtype=np.complex128))
+    g1 g2 g3 / Omega3(k1, k2, k3) for k = 0..K, g the real field with modes
+    0..K = h, for every row of the (m, K+1) array h. Entry k = 0 is left at
+    zero: every use multiplies it by d/dx. Exact up to the Chebyshev
+    interpolation of the far field (relative error near 1e-15); block=None
+    picks _default_block."""
+    g = _mirror(np.atleast_2d(np.asarray(h, dtype=np.complex128)))
     m, n2 = g.shape
     K = n2 // 2
     L = _default_block(K) if block is None else block
@@ -342,7 +343,7 @@ def _inverse_resonance_cube(g: np.ndarray, block: int | None = None) -> np.ndarr
     gp = np.zeros((m, n2 + 2 * pad), dtype=np.complex128)
     gp[:, pad:pad + n2] = g
     off = pad + K                # gp[:, off + j] holds mode j
-    D = np.zeros((m, n2), dtype=np.complex128)
+    D = np.zeros((m, K + 1), dtype=np.complex128)
     buf = np.zeros((m, len(nodes), N), dtype=np.complex128)
     zbuf = np.zeros((m, min(L, NEAR_ROWS), m2), dtype=np.complex128)
     for k0 in range(1, K + 1, L):
@@ -387,45 +388,41 @@ def _inverse_resonance_cube(g: np.ndarray, block: int | None = None) -> np.ndarr
             Z *= gw[:, None, :]
             blk[:, j0:j1] += np.einsum("mjx,jx->mj", Z, tw[j0:j1])
         ok = kk <= K
-        D[:, K + kk[ok]] = blk[:, ok]
+        D[:, kk[ok]] = blk[:, ok]
     # remove a + b = 0: g_k sum_a g_a g_-a / (k^2 - a^2) over a != +-k
     q = g * g[:, ::-1]
     hq = _fft.ifft(_fft.fft(q, m3, axis=-1) * rhat, axis=-1)
     ks = np.arange(1, K + 1)
-    D[:, K + 1:] -= g[:, K + 1:] / ks * (hq[:, ks + 3 * K] - q[:, K + 1:] / (2 * ks))
+    D[:, 1:] -= g[:, K + 1:] / ks * (hq[:, ks + 3 * K] - q[:, K + 1:] / (2 * ks))
     Q = np.zeros_like(D)
-    Q[:, K + 1:] = -D[:, K + 1:] / (2 * ks)
-    Q[:, :K] = -np.conj(Q[:, :K:-1])   # Omega3 is odd under k -> -k
+    Q[:, 1:] = -D[:, 1:] / (2 * ks)
     return Q
 
 
 @lru_cache(maxsize=32)
 def _phase_plan(max_mode: int, dt: float):
-    ks = np.arange(-max_mode, max_mode + 1)
+    ks = np.arange(max_mode + 1)
     E = np.exp(1j * (2.0 * np.pi) ** 3 * dt * ks.astype(np.float64) ** 3)
     E.setflags(write=False)
     return ks, E
 
 
-def _exact_phase_coeffs(c: np.ndarray, cfg: ModelConfig,
-                        block: int | None = None) -> np.ndarray:
-    K = cfg.max_mode
-    ks, E = _phase_plan(K, cfg.dt)
-    rows = _mirror(c.reshape(-1, c.shape[-1])[:, K:])
+def _exact_phase_coeffs(h: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    ks, E = _phase_plan(cfg.max_mode, cfg.dt)
+    rows = h.reshape(-1, h.shape[-1])
     m = len(rows)
     lin = E * rows
-    Q = _inverse_resonance_cube(np.concatenate((lin, rows)), block)
+    Q = _inverse_resonance_cube(np.concatenate((lin, rows)))
     v = lin - (cfg.sign * ks / (2.0 * np.pi) ** 2) * (Q[:m] - E * Q[m:])
     amp = np.abs(v) ** 2
-    offset = 0.0 if cfg.renormalized else _row_mass(v)[..., None]
+    offset = 0.0 if cfg.renormalized else _mass_half(v)[..., None]
     out = np.exp(6j * np.pi * cfg.sign * cfg.dt * ks * (amp - offset)) * v
-    return _real_rows(out[:, K:], rows).reshape(c.shape)
+    return _pin_mean(out, rows).reshape(h.shape)
 
 
-# name -> one step (coefficients, config) -> new coefficients. Both read a
-# row as the real field with its modes k >= 0 and end through _real_rows;
-# both act on the last axis, so a (..., 2K+1) stack steps each row bit for
-# bit as alone
+# name -> one step (h, config) -> new h, on the modes 0..K of real fields.
+# Both end through _pin_mean and act on the last axis, so a (..., K+1) stack
+# steps each row bit for bit as alone
 INTEGRATORS = {
     "ifrk4": _ifrk4_coeffs,
     "exact-phase": _exact_phase_coeffs,
@@ -436,18 +433,13 @@ INTEGRATORS = {
 _FAULTS = (None, "state", "mass")
 
 
-def _row_mass(c: np.ndarray):
-    """P0(u^2) = sum |c_k|^2 along the last axis: a row rounds the same
-    whatever the stack around it, and as FourierField.mass() does."""
-    return np.vecdot(c, c).real
+def _step_rows(h: np.ndarray, alpha, config: ModelConfig, mass=None):
+    """One step of config.integrator on the (..., K+1) stack h of modes
+    0..K, whose rows carry the integrals alpha of P0(u^2) dt so far and, if
+    the caller kept them from the last step, the masses mass (else they are
+    computed).
 
-
-def _step_rows(c: np.ndarray, alpha, config: ModelConfig, mass=None):
-    """One step of config.integrator on the (..., 2K+1) stack c, whose rows
-    carry the integrals alpha of P0(u^2) dt so far and, if the caller kept
-    them from the last step, the masses mass (else they are computed).
-
-    Returns (c, mass, alpha, fault) after the step. fault is None when every
+    Returns (h, mass, alpha, fault) after the step. fault is None when every
     row is good, else per row an index into _FAULTS: 0 on a good row, 1 on
     one whose coefficients stopped being finite, 2 on one whose coefficients
     are finite but whose mass is not. A bad row's entries are not
@@ -455,9 +447,9 @@ def _step_rows(c: np.ndarray, alpha, config: ModelConfig, mass=None):
     # the finite checks are the contract, not numpy's overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if mass is None:
-            mass = _row_mass(c)
-        out = INTEGRATORS[config.integrator.lower()](c, config)
-        new_mass = _row_mass(out)
+            mass = _mass_half(h)
+        out = INTEGRATORS[config.integrator.lower()](h, config)
+        new_mass = _mass_half(out)
         alpha = alpha + 0.5 * config.dt * (mass + new_mass)
     # from a good row, alpha stays finite exactly when the new coefficients
     # and their mass do (a finite state whose mass overflows gives inf)
@@ -473,50 +465,59 @@ def _blowup(fault: int, last_good: SimulationState) -> BlowUpError:
                        last_good)
 
 
-def step(state: SimulationState, config: ModelConfig) -> SimulationState:
-    """One step of config.integrator from a real state. Raises BlowUpError
-    if the result or its mass is not finite."""
-    state.field.require_real()
-    if state.field.max_mode != config.max_mode:
-        raise ValueError("state and config max_mode differ")
-    c, _, alpha, fault = _step_rows(state.field.coeffs, state.alpha_accum, config)
-    if fault is not None:
-        raise _blowup(int(fault), state)
-    return SimulationState(state.t + config.dt, FourierField(c, copy=False), float(alpha))
-
-
-def _run(fields: list[FourierField], config: ModelConfig, sample_every: int | None):
-    """Run the real fields together as one (m, 2K+1) coefficient stack,
-    each row bit for bit the chain of `step` calls from its field, and yield
-    (t, c, alpha) at t = 0, every sample_every-th step (none if None) and the
-    last. A yielded c is never written again.
-
-    A row that blows up is dropped together with the rows listed after it;
-    the run raises BlowUpError for the first listed row that blows up, at
-    its own time, with its last finite state and alpha_accum."""
+def _stack_real(fields: list[FourierField], config: ModelConfig) -> np.ndarray:
+    """The (m, 2K+1) stack of the fields' coefficients, each field checked
+    to be real and of config's max_mode (ValueError otherwise)."""
     for u in fields:
         u.require_real()
         if u.max_mode != config.max_mode:
             raise ValueError("initial data max_mode differs from config")
+    return np.array([u.coeffs for u in fields])
+
+
+def step(state: SimulationState, config: ModelConfig) -> SimulationState:
+    """One step of config.integrator from a real state. Raises BlowUpError
+    if the result or its mass is not finite."""
+    h = _stack_real([state.field], config)[0, config.max_mode:]
+    h, _, alpha, fault = _step_rows(h, state.alpha_accum, config)
+    if fault is not None:
+        raise _blowup(int(fault), state)
+    u = FourierField(_mirror(h), copy=False)
+    return SimulationState(state.t + config.dt, u, float(alpha))
+
+
+def _run(fields: list[FourierField], config: ModelConfig, sample_every: int | None):
+    """Run the real fields together as one (m, K+1) stack of their modes
+    0..K, each row bit for bit the chain of `step` calls from its field, and
+    yield (t, c, alpha) at t = 0 (c the fields' coefficients as given), every
+    sample_every-th step (none if None) and the last, c the (m, 2K+1) rows.
+    A yielded c is never written again.
+
+    A row that blows up is dropped together with the rows listed after it;
+    the run raises BlowUpError for the first listed row that blows up, at
+    its own time, with its last finite state and alpha_accum."""
+    c = _stack_real(fields, config)
     if sample_every is not None and sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     n = config.n_steps
-    c = np.array([u.coeffs for u in fields])
     t, alpha, mass, failed = 0.0, np.zeros(len(c)), None, None
     yield t, c, alpha
+    h = c[:, config.max_mode:]
     for i in range(1, n + 1):
-        nxt, mass, alpha_nxt, fault = _step_rows(c, alpha, config, mass)
+        nxt, mass, alpha_nxt, fault = _step_rows(h, alpha, config, mass)
         if fault is not None:
             j = int(np.flatnonzero(fault)[0])
+            # the start row as given: a mirror turns its imaginary +0.0 into -0.0
+            last = c[j] if i == 1 else _mirror(h[j])
             failed = _blowup(int(fault[j]), SimulationState(
-                t, FourierField(c[j], copy=True), float(alpha[j])))
+                t, FourierField(last, copy=True), float(alpha[j])))
             if j == 0:
                 raise failed
             # rows after j no longer matter: an earlier row may still fail
             nxt, mass, alpha_nxt = nxt[:j], mass[:j], alpha_nxt[:j]
-        c, alpha, t = nxt, alpha_nxt, t + config.dt
+        h, alpha, t = nxt, alpha_nxt, t + config.dt
         if i == n or (sample_every is not None and i % sample_every == 0):
-            yield t, c, alpha
+            yield t, _mirror(h), alpha
     if failed is not None:
         raise failed
 

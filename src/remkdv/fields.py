@@ -287,21 +287,15 @@ def sobolev_norm(field: FourierField, s: float) -> float:
     return float(np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2)))
 
 
-def _lq_space_norm(field: FourierField, q: float, n_points: int) -> float:
-    vals = synthesize(field, n_points)
-    if np.isinf(q):
-        return float(np.max(np.abs(vals)))
-    return float((np.mean(np.abs(vals) ** q)) ** (1.0 / q))
-
-
 def space_time_norm(snapshots: Sequence[FourierField], times: Sequence[float],
                     p: float, q: float) -> float:
-    """Mixed norm ||u||_{L^p_t L^q_x} along a sampled trajectory.
+    """Mixed norm ||u||_{L^p_t L^q_x}, p and q finite, along a sampled trajectory.
 
     The space norm is a uniform-grid quadrature on 4K+1 points, enough to
-    oversample the cubic range; the time norm is composite
-    trapezoid, or a max over samples for p = inf.
+    oversample the cubic range; the time norm is composite trapezoid.
     """
+    if not (np.isfinite(p) and np.isfinite(q)):
+        raise ValueError("p and q must be finite")
     snapshots = list(snapshots)
     times = np.asarray(times, dtype=np.float64)
     if len(snapshots) != times.size:
@@ -309,9 +303,8 @@ def space_time_norm(snapshots: Sequence[FourierField], times: Sequence[float],
     if len(snapshots) == 0:
         raise ValueError("empty trajectory")
     n_points = 4 * snapshots[0].max_mode + 1
-    slices = np.array([_lq_space_norm(f, q, n_points) for f in snapshots])
-    if np.isinf(p):
-        return float(np.max(slices))
+    slices = np.array([np.mean(np.abs(synthesize(f, n_points)) ** q) ** (1.0 / q)
+                       for f in snapshots])
     if times.size == 1:
         raise ValueError("time integration needs at least two samples")
     return float(np.trapezoid(slices ** p, times) ** (1.0 / p))

@@ -592,6 +592,15 @@ class TestCli:
                        "--override", "model.t_final=5.0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "energy-drift"])
+    def test_exit_2_on_max_mode_too_large_to_allocate(self, tmp_path, capsys, command):
+        # 2K+1 complex coefficients at K = 1e15 are 28 PiB, beyond any
+        # address space, so numpy refuses the array without allocating it
+        rc = main([command, "--out", str(tmp_path),
+                   "--override", "model.max_mode=1000000000000000"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("runtime error: Unable to allocate")
+
     @pytest.mark.parametrize("override", [
         "nonsense=1",
         "model.never=2",

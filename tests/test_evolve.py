@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from remkdv import _fft
+from remkdv import _fft, evolve
 from remkdv.diagnostics import (decaying_profile, energy_drift_scan,
                                 single_mode_profile, smoothing_scan)
 from remkdv.evolve import (
@@ -31,7 +31,7 @@ from remkdv.evolve import (
 from remkdv.evolve import (_cube_half, _cube_plan, _default_block,
                            _exact_phase_coeffs, _ifrk4_coeffs,
                            _inverse_resonance_cube, _kernel_plan, _mass_half,
-                           _row_mass, _step_rows)
+                           _mirror, _step_rows)
 from remkdv.fields import FourierField, deriv_multiplier
 
 
@@ -199,7 +199,7 @@ class TestCubic:
 
     @pytest.mark.parametrize("K, block", [(16, 2), (256, None)])
     def test_inverse_resonance_cube_without_the_module(self, K, block, monkeypatch):
-        g = np.array([_random_real(K, seed=s, scale=1.0).coeffs for s in (3, 4)])
+        g = np.array([_random_real(K, seed=s, scale=1.0).coeffs[K:] for s in (3, 4)])
         got = _inverse_resonance_cube(g, block)
         monkeypatch.setattr(_fft, "_PF", None)
         assert np.array_equal(_inverse_resonance_cube(g, block), got)
@@ -389,6 +389,8 @@ class TestStep:
             assert info.value.last_good is state
             with pytest.raises(BlowUpError) as info:
                 simulate(u, cfg)
+        # the first step fails: the state it carries is the input, byte for byte
+        assert info.value.last_good.field.coeffs.tobytes() == u.coeffs.tobytes()
         assert np.isfinite(info.value.last_good.alpha_accum)
 
 
@@ -428,11 +430,13 @@ class TestHalfSpectrumStep:
     ])
     def test_matches_full_spectrum_reference(self, K, dt, eps, sigma):
         cfg = ModelConfig(max_mode=K, dt=dt, t_final=dt)
-        got = want = decaying_profile(K, eps, sigma, seed=0).coeffs
+        want = decaying_profile(K, eps, sigma, seed=0).coeffs
+        got = want[K:]
         for i in range(50):
             got, want = _ifrk4_coeffs(got, cfg), _c2c_ifrk4_step(want, cfg)
             if i in (0, 49):   # one step, and 50 chained steps
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), i
+                err = np.max(np.abs(_mirror(got) - want))
+                assert err <= 1e-14 * np.max(np.abs(want)), i
 
     @pytest.mark.parametrize("renormalized", [True, False])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -441,7 +445,8 @@ class TestHalfSpectrumStep:
         cfg = _cfg(max_mode=K, dt=1e-4, sign=sign, renormalized=renormalized)
         c = _random_real(K, seed=3, scale=0.1).coeffs
         want = _c2c_ifrk4_step(c, cfg)
-        assert np.max(np.abs(_ifrk4_coeffs(c, cfg) - want)) <= 1e-14 * np.max(np.abs(want))
+        got = _mirror(_ifrk4_coeffs(c[K:], cfg))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("integrator", sorted(INTEGRATORS))
     def test_output_hermitian_bitwise_and_mean_pinned(self, integrator):
@@ -449,25 +454,25 @@ class TestHalfSpectrumStep:
         c = _random_real(K, seed=14, scale=0.3).coeffs.copy()
         c[K] = 0.125
         cfg = _cfg(max_mode=K, dt=1e-3, integrator=integrator)
-        out = INTEGRATORS[integrator](c, cfg)
+        assert INTEGRATORS[integrator](c[K:], cfg)[0] == 0.125
+        out = step(SimulationState(0.0, FourierField(c)), cfg).field.coeffs
         assert np.array_equal(out[:K], np.conj(out[:K:-1]))
-        assert out[K] == c[K]
-        nxt = step(SimulationState(0.0, FourierField(c)), cfg).field
-        assert nxt.hermitian_defect() == 0.0 and nxt.mode(0) == 0.125
+        assert out[K] == 0.125
 
     @pytest.mark.parametrize("integrator", sorted(INTEGRATORS))
     def test_reads_the_modes_k_ge_0(self, integrator):
         # a real row and the same row with its negative modes moved by 1e-12,
-        # inside HERMITIAN_TOL, are one real field to both integrators: they
-        # step to the same bits
+        # inside HERMITIAN_TOL, are one real field to step with either
+        # integrator: they step to the same bits
         K = 32
         c = _random_real(K, seed=7, scale=0.3).coeffs
         moved = c.copy()
         moved[:K] += 1e-12 * (1 + 1j)
         FourierField(moved).require_real()
         cfg = _cfg(max_mode=K, dt=1e-3, integrator=integrator)
-        assert np.array_equal(INTEGRATORS[integrator](moved, cfg),
-                              INTEGRATORS[integrator](c, cfg))
+        got, want = (step(SimulationState(0.0, FourierField(x)), cfg).field.coeffs
+                     for x in (moved, c))
+        assert np.array_equal(got, want)
 
 
 class TestBatchedStep:
@@ -478,27 +483,26 @@ class TestBatchedStep:
         # each row's 1-D value and np.vdot's, bit for bit
         rng = np.random.default_rng(K)
         c = rng.standard_normal((2, 3, 2 * K + 1)) + 1j * rng.standard_normal((2, 3, 2 * K + 1))
-        for stack in (c, c[..., K:], np.ascontiguousarray(c[..., K:])):
-            mass, half = _row_mass(stack), _mass_half(stack)
-            assert mass.shape == (2, 3) and half.shape == (2, 3, 1)
+        for stack in (c[..., K:], np.ascontiguousarray(c[..., K:])):
+            half = _mass_half(stack)
+            assert half.shape == (2, 3)
             for i, j in np.ndindex(2, 3):
                 r = stack[i, j]
-                assert mass[i, j] == _row_mass(r) == np.vdot(r, r).real
                 want = 2.0 * np.vdot(r, r).real - np.abs(r[0]) ** 2
-                assert half[i, j, 0] == _mass_half(r)[0] == want
+                assert half[i, j] == _mass_half(r) == want
 
     @pytest.mark.parametrize("K, dt", [(32, 1e-3), (256, 1e-4), (2048, 2e-4)])
     def test_stack_equals_single_rows_bitwise(self, K, dt):
         # one stack of three fields, stepped together, against the three
         # fields stepped one at a time: equal bit for bit after 30 steps
         cfg = ModelConfig(max_mode=K, dt=dt, t_final=dt)
-        base = decaying_profile(K, 1.0, 2.0, seed=5).coeffs
+        base = decaying_profile(K, 1.0, 2.0, seed=5).coeffs[K:]
         rows = [eps * base for eps in (0.025, 0.05, 0.1)]
         stack = np.array(rows)
         for _ in range(30):
             stack = _ifrk4_coeffs(stack, cfg)
             rows = [_ifrk4_coeffs(r, cfg) for r in rows]
-        assert stack.shape == (3, 2 * K + 1) and np.all(np.isfinite(stack))
+        assert stack.shape == (3, K + 1) and np.all(np.isfinite(stack))
         for got, want in zip(stack, rows):
             assert np.array_equal(got, want)
 
@@ -506,7 +510,7 @@ class TestBatchedStep:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_stack_on_every_model(self, renormalized, sign):
         cfg = _cfg(max_mode=24, dt=1e-4, sign=sign, renormalized=renormalized)
-        rows = [_random_real(24, seed=s, scale=0.1).coeffs for s in (1, 2)]
+        rows = [_random_real(24, seed=s, scale=0.1).coeffs[24:] for s in (1, 2)]
         got = _ifrk4_coeffs(np.array(rows), cfg)
         for g, r in zip(got, rows):
             assert np.array_equal(g, _ifrk4_coeffs(r, cfg))
@@ -516,13 +520,13 @@ class TestBatchedStep:
     def test_exact_phase_stack_equals_single_rows_bitwise(self, K, renormalized):
         cfg = ModelConfig(max_mode=K, dt=1e-4, t_final=1e-4, renormalized=renormalized,
                           integrator="exact-phase")
-        base = decaying_profile(K, 1.0, 2.0, seed=5).coeffs
+        base = decaying_profile(K, 1.0, 2.0, seed=5).coeffs[K:]
         rows = [eps * base for eps in (0.1, 0.3, 1.0)]
         stack = np.array(rows)
         for _ in range(3):
             stack = _exact_phase_coeffs(stack, cfg)
             rows = [_exact_phase_coeffs(r, cfg) for r in rows]
-        assert stack.shape == (3, 2 * K + 1) and np.all(np.isfinite(stack))
+        assert stack.shape == (3, K + 1) and np.all(np.isfinite(stack))
         for got, want in zip(stack, rows):
             assert np.array_equal(got, want)
 
@@ -539,12 +543,12 @@ class TestBatchedStep:
         assert np.array_equal(_cube_half(h1, n), kept)
 
     def test_interleaved_shapes_equal_separate_runs(self):
-        # a (2, 2K+1) stack and a single row at two K, stepped in turn,
+        # a (2, K+1) stack and a single row at two K, stepped in turn,
         # against each run on its own
         runs = []
         for K in (16, 64):
             cfg = ModelConfig(max_mode=K, dt=1e-4, t_final=1e-4)
-            base = decaying_profile(K, 1.0, 2.0, seed=5).coeffs
+            base = decaying_profile(K, 1.0, 2.0, seed=5).coeffs[K:]
             runs += [(cfg, np.array([0.1 * base, 0.3 * base])), (cfg, 0.2 * base)]
         alone = []
         for cfg, c in runs:
@@ -563,7 +567,7 @@ class TestBatchedStep:
         # each field's single-threaded result
         K = 256
         cfg = ModelConfig(max_mode=K, dt=1e-4, t_final=1e-4)
-        base = decaying_profile(K, 1.0, 2.0, seed=5).coeffs
+        base = decaying_profile(K, 1.0, 2.0, seed=5).coeffs[K:]
         starts = [eps * base for eps in (0.05, 0.1, 0.2, 0.4)]
 
         def run(c):
@@ -595,22 +599,23 @@ class TestBatchedStep:
     def test_row_stepper_is_step_per_row(self, integrator):
         # states, masses and alpha_accum of a stack stepped together are
         # those of step on each field alone, bit for bit, and alpha_accum is
-        # the trapezoid sum of the fields' masses
-        cfg = ModelConfig(max_mode=16, dt=1e-3, t_final=1e-3, integrator=integrator)
-        base = decaying_profile(16, 1.0, 2.0, seed=5)
+        # the trapezoid sum of the fields' masses P0(u^2) on the modes k >= 0
+        K = 16
+        cfg = ModelConfig(max_mode=K, dt=1e-3, t_final=1e-3, integrator=integrator)
+        base = decaying_profile(K, 1.0, 2.0, seed=5)
         states = [SimulationState(0.0, eps * base) for eps in (0.1, 0.5, 1.0)]
-        c, alpha, mass = np.array([s.field.coeffs for s in states]), np.zeros(3), None
+        h, alpha, mass = np.array([s.field.coeffs[K:] for s in states]), np.zeros(3), None
         trap = [0.0] * 3
         for _ in range(5):
-            c, mass, alpha, fault = _step_rows(c, alpha, cfg, mass)
-            old = [s.field.mass() for s in states]
+            h, mass, alpha, fault = _step_rows(h, alpha, cfg, mass)
+            old = [_mass_half(s.field.coeffs[K:]) for s in states]
             states = [step(s, cfg) for s in states]
-            trap = [a + 0.5 * cfg.dt * (m + s.field.mass())
+            trap = [a + 0.5 * cfg.dt * (m + _mass_half(s.field.coeffs[K:]))
                     for a, m, s in zip(trap, old, states)]
             assert fault is None
         for r, s in enumerate(states):
-            assert np.array_equal(c[r], s.field.coeffs)
-            assert mass[r] == s.field.mass()
+            assert np.array_equal(_mirror(h[r]), s.field.coeffs)
+            assert mass[r] == _mass_half(s.field.coeffs[K:])
             assert alpha[r] == s.alpha_accum == trap[r]
 
 
@@ -653,27 +658,29 @@ class TestExactPhase:
         # the factorized kernel against sum g1 g2 g3 / Omega3 triple by
         # triple; small blocks force the Chebyshev far field into play
         g = _random_real(K, seed=K, scale=1.0).coeffs
-        want = np.zeros(2 * K + 1, dtype=np.complex128)
-        for k in range(-K, K + 1):
-            if k:
-                a, b, c, om = _triples(K, k)
-                want[k + K] = np.sum(g[a + K] * g[b + K] * g[c + K] / om)
+        want = np.zeros(K + 1, dtype=np.complex128)
+        for k in range(1, K + 1):
+            a, b, c, om = _triples(K, k)
+            want[k] = np.sum(g[a + K] * g[b + K] * g[c + K] / om)
         scale = np.max(np.abs(want))
         for block in (1, 2, 4, K // 2, None):
-            got = _inverse_resonance_cube(g, block)[0]
+            got = _inverse_resonance_cube(g[K:], block)[0]
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, block
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("renormalized", [True, False])
-    def test_step_matches_direct_triple_sum(self, sign, renormalized):
+    def test_step_matches_direct_triple_sum(self, sign, renormalized, monkeypatch):
         K = 16
         c = _random_real(K, seed=21, scale=0.3).coeffs
         cfg = _cfg(max_mode=K, dt=1e-4, sign=sign, renormalized=renormalized,
                    integrator="exact-phase")
         want = _direct_exact_phase_step(c, cfg)
+        default = _default_block
         for block in (2, 4, None):
-            got = _exact_phase_coeffs(c, cfg, block)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            monkeypatch.setattr(evolve, "_default_block",
+                                default if block is None else lambda max_mode, b=block: b)
+            got = _mirror(_exact_phase_coeffs(c[K:], cfg))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), block
         out = step(SimulationState(0.0, FourierField(c)), cfg).field.coeffs
         assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -774,7 +781,9 @@ class TestSimulate:
         u = _single_mode(8, 0.05)
         res = simulate(u, _cfg(max_mode=8, dt=1e-3, t_final=5e-3),
                        sample_every=1)
-        assert np.array_equal(res.snapshots[0].field.coeffs, u.coeffs)
+        # bytes, so that the sign of a zero counts: a mirror of the modes
+        # k >= 0 would turn the input's imaginary +0.0 into -0.0
+        assert res.snapshots[0].field.coeffs.tobytes() == u.coeffs.tobytes()
         assert res.snapshots[0].field.coeffs is not u.coeffs
 
     @pytest.mark.parametrize("sample_every", [1, 3])

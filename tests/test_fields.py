@@ -15,6 +15,7 @@ from remkdv.fields import (
     project_leq,
     riesz_potential,
     sobolev_norm,
+    space_time_norm,
     synthesize,
     xsb_norm_diagnostic,
 )
@@ -208,6 +209,15 @@ class TestPotentials:
     def test_sobolev_norm_monotone_in_s(self):
         f = _random_real(16, seed=6)
         assert sobolev_norm(f, 1.0) >= sobolev_norm(f, 1.0 / 3.0) >= sobolev_norm(f, 0.0)
+
+
+@pytest.mark.parametrize("p, q", [(np.inf, 4.0), (4.0, np.inf)])
+def test_space_time_norm_refuses_infinite_exponents(p, q):
+    # no quadrature here takes a sup: an infinite exponent is refused, not
+    # turned into (mean |u|^inf)^0 = 1
+    f = _random_real(8, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        space_time_norm([f, f], [0.0, 1.0], p, q)
 
 
 def test_xsb_free_evolution_b0_value():
