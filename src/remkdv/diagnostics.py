@@ -389,13 +389,15 @@ def smoothing_scan(base: FourierField, model: ModelConfig, eps_list: list[float]
         seen = [k for k in modes if abs(k) <= K]   # the others read 0
         pos = np.array([k + K for k in seen], dtype=np.intp)
         run = _run([eps * base for eps in amps], model, 1)
-        _, c, _ = next(run)
-        amp0 = np.abs(c[:, pos]) ** 2
-        dev = np.zeros_like(amp0)
-        for _, c, _ in run:
-            # rows dropped after a blow-up keep their max; the run raises at its end
-            m = len(c)
-            dev[:m] = np.maximum(dev[:m], np.abs(np.abs(c[:, pos]) ** 2 - amp0[:m]))
+        # as in _step_rows, the run's finite checks end a blow-up, not numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, c, _ = next(run)
+            amp0 = np.abs(c[:, pos]) ** 2
+            dev = np.zeros_like(amp0)
+            for _, c, _ in run:
+                # rows dropped after a blow-up keep their max; the run raises at its end
+                m = len(c)
+                dev[:m] = np.maximum(dev[:m], np.abs(np.abs(c[:, pos]) ** 2 - amp0[:m]))
         for r, eps in enumerate(amps):
             col = dict(zip(seen, dev[r].tolist()))
             report.sup_deviation[eps] = {k: col.get(k, 0.0) for k in modes}
@@ -446,7 +448,8 @@ def energy_drift_scan(u0: FourierField, model: ModelConfig, k_watch: int,
     evaluated as the run reaches it; the scan keeps none of them."""
     times, quad, tot = [], [], []
     for t, c, _ in _run([u0], model, sample_every):
-        rep = energy_mode(FourierField(c[0], copy=False), k_watch)
+        with np.errstate(over="ignore", invalid="ignore"):   # as in smoothing_scan
+            rep = energy_mode(FourierField(c[0], copy=False), k_watch)
         times.append(t)
         quad.append(rep.quadratic)
         tot.append(rep.total)

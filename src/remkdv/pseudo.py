@@ -64,8 +64,8 @@ def _triple_sum(weight_fn, f: FourierField, g: FourierField, h: FourierField,
 
     Cost is O(K_out * K^2), vectorized over the (k1, k2) plane. Fine up to
     K ~ 128. An A3 pairing with a fourth field needs no output field:
-    `_a3_row_sums` sums it in O(#s * K * M) over the ~3M pair sums s of the
-    block.
+    `_a3_row_sums` sums it by prefix sums in O(#s * K) over the ~3M pair
+    sums s of the block.
     """
     K = f.max_mode
     K_out = K if out_max_mode is None else out_max_mode
@@ -111,45 +111,42 @@ def _support_sums(M: int) -> np.ndarray:
     return np.concatenate([-mags[::-1], mags])
 
 
+def _off_a3_windows(K: int, s, k):
+    """Row k of pair sum s leaves A3 on the columns a of two half-open windows
+    [lo1, hi1) and [lo2, hi2), clipped to [-K, K + 1): with k1 = a, k2 = s - a
+    and k3 = k - s, A3 needs |s| < |k - a| and |s| < |a + k - s| (a tie goes
+    to the lower slot). s and k broadcast."""
+    r = np.abs(s)
+    return tuple(np.clip(b, -K, K + 1) for b in (k - r, k + r + 1, s - k - r, s - k + r + 1))
+
+
 def _a3_row_sums(M: int, f1: FourierField, f2: FourierField,
                  pieces) -> list[complex]:
     """integral of Pi^3_{eta,M}(f1, f2, f3) * f4 over the torus for each piece
-    (eta, f3, f4), by masked row sums in O(#s * K * M).
+    (eta, f3, f4), by prefix sums in O(#s * K) over the ~3M pair sums s.
 
     Each eta must depend on (k1, k2, k3) only through s = k1 + k2 and k3, as
-    symbol_one and the ibp_symbols do: it is read once per output row k, at
-    (0, s, k - s). With k1 = a, k2 = s - a and k3 = k - s the pair sums are
-    m1 = |k - a|, m2 = |a - (s - k)| and m3 = |s|, so off A3 a row meets only
-    the two windows |a - k| <= |s| and |a - (s - k)| <= |s|. The masked row
-    sum is the full inner sum less the off-A3 window columns. One A3 mask per
-    s, on the windows alone, serves all pieces.
+    symbol_one and the ibp_symbols do: it is read at (0, s, k - s) on the
+    (#s, 2K+1) grid of (s, k) that all pieces share. The products
+    f1(a) f2(s - a), prefix-summed along a, give each row's A3 sum as the row
+    total less its two off-A3 windows, their overlap added back.
     """
     K = f1.max_mode
     ks = np.arange(-K, K + 1)
-    kk = ks[:, None]          # output frequency k
-    zeros = np.zeros_like(ks)
-    totals = [0.0 + 0.0j] * len(pieces)
-    for s in _support_sums(int(M)):
-        s = int(s)
-        w_s = float(phi_dyadic(M, s))
-        r = abs(s)
-        inner = f1.coeffs * f2.gather(s - ks)
-        # zero padding stands for the columns beyond +-K: inner a sits at a + K + 2r
-        padded = np.zeros(2 * K + 1 + 4 * r, dtype=np.complex128)
-        padded[2 * r:2 * r + 2 * K + 1] = inner
-        d = np.arange(-r, r + 1)
-        a = np.concatenate([kk + d, (s - kk) + d], axis=1)
-        m1 = np.abs(kk - a)
-        off = ~a_cell(3, m1, np.abs(a + kk - s), r)
-        # a column of the second window that the first one holds counts once
-        off[:, 2 * r + 1:] &= m1[:, 2 * r + 1:] > r
-        rows = inner.sum() - (padded[a + K + 2 * r] * off).sum(axis=1)
-        k3 = ks - s
-        for n, (eta, f3, f4) in enumerate(pieces):
-            outer = f3.gather(k3) * f4.coeffs[::-1]   # f4^(-k) indexed like k
-            eta_k = eta.eval(zeros, zeros + s, k3)
-            totals[n] += w_s * np.sum(eta_k * rows * outer)
-    return [complex(t) for t in totals]
+    s = _support_sums(int(M))[:, None]
+    cum = np.zeros((len(s), 2 * K + 2), dtype=np.complex128)
+    np.cumsum(f1.coeffs * f2.gather(s - ks), axis=1, out=cum[:, 1:])
+    lo1, hi1, lo2, hi2 = _off_a3_windows(K, s, ks)
+    lo = np.maximum(lo1, lo2)   # the overlap [lo, hi), empty if they are disjoint
+    hi = np.maximum(np.minimum(hi1, hi2), lo)
+    # window [start, stop) sums to c[stop] - c[start], c = cum at the bounds
+    c = cum[np.arange(len(s))[:, None], np.stack([hi1, lo1, hi2, lo2, hi, lo]) + K]
+    rows = (cum[:, -1:] - (c[0] - c[1]) - (c[2] - c[3]) + (c[4] - c[5])) * phi_dyadic(M, s)
+    k3 = ks - s
+    zeros = np.zeros_like(k3)
+    return [complex(np.sum(eta.eval(zeros, zeros + s, k3) * rows * f3.gather(k3)
+                           * f4.coeffs[::-1]))   # f4^(-k) indexed like k
+            for eta, f3, f4 in pieces]
 
 
 def _t_last(N: int, g: FourierField) -> FourierField:
@@ -272,7 +269,7 @@ def verify_ibp(M: int, N: int, f1: FourierField, f2: FourierField,
         "eta_shift",
     )
     g_N = project_dyadic(g, N)
-    # T and the two pieces share f1, f2 and so the mask of each pair sum
+    # T and the two pieces share f1, f2 and so the row sums of each pair sum
     t_val, shift_val, boundary_val = _a3_row_sums(M, f1, f2, [
         (symbol_one(), g, _t_last(N, g)),
         (shift, _near_projection(g, N), g_N),
@@ -292,7 +289,7 @@ def estimate_quadrilinear_ratio(eta: SymbolFn, M: int, trials: int, K: int,
     estimate, not a proof; the observed constant is stored as a golden
     baseline by the tests.
 
-    The pairing is summed by masked rows, so eta must depend on (k1, k2, k3)
+    The pairing is summed by rows, so eta must depend on (k1, k2, k3)
     only through k1 + k2 and k3: ValueError unless eta(k1, s - k1, k3) equals
     eta(0, s, k3) exactly for |k1|, |k3| <= K and every pair sum s of the block.
     """
@@ -305,11 +302,9 @@ def estimate_quadrilinear_ratio(eta: SymbolFn, M: int, trials: int, K: int,
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):
-        fields = []
-        for _ in range(4):
-            c = rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1)
-            f = FourierField(c, copy=False).hermitized()
-            fields.append(f)
+        fields = [FourierField(rng.standard_normal(2 * K + 1)
+                               + 1j * rng.standard_normal(2 * K + 1), copy=False).hermitized()
+                  for _ in range(4)]
         denom = M * np.prod([f.l2_norm() for f in fields])
         if denom == 0:
             continue

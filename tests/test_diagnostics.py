@@ -592,6 +592,20 @@ class TestCli:
                        "--override", "model.t_final=5.0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command,overrides", [
+        ("energy-drift", ["profile.eps=1e200", "model.t_final=0.0002"]),
+        ("smoothing", ["eps_list=[1e300]"]),
+    ])
+    def test_blowup_at_start_prints_only_the_exit_line(self, tmp_path, capsys,
+                                                       command, overrides):
+        # the t = 0 sample overflows: the scan's own reads must not warn first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--out", str(tmp_path),
+                       *(arg for o in overrides for arg in ("--override", o))])
+        assert rc == 2
+        assert capsys.readouterr().err == "blow-up: state became non-finite at t=0\n"
+
     @pytest.mark.parametrize("command", ["simulate", "energy-drift"])
     def test_exit_2_on_max_mode_too_large_to_allocate(self, tmp_path, capsys, command):
         # 2K+1 complex coefficients at K = 1e15 are 28 PiB, beyond any

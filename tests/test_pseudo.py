@@ -18,6 +18,7 @@ from remkdv.pseudo import (
     IBPSymbols,
     SymbolFn,
     _a3_row_sums,
+    _off_a3_windows,
     _support_sums,
     estimate_quadrilinear_ratio,
     ibp_symbols,
@@ -182,12 +183,12 @@ def _one_sign(eta, sign):
 
 class TestA3RowSums:
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("M", [1, 2, 4, 8])
+    @pytest.mark.parametrize("M", [1, 2, 4, 8, 16])
     @pytest.mark.parametrize("K", [2, 3, 4, 8, 16, 33])
     def test_matches_grid_sum(self, K, M, sign):
         # small K clips the windows at +-K, and rows k near s/2 hold both
-        # windows at once; exact zeros come back as roundoff of the full
-        # inner sum, so the scale is the fields' l1 norms
+        # windows at once; exact zeros come back as roundoff of the prefix
+        # sums, so the scale is the fields' l1 norms
         f1, f2, f3, f4 = (_random_complex(K, seed=1000 * K + 10 * M + sign + s)
                           for s in (0, 1, 2, 3))
         scale = np.prod([np.sum(np.abs(f.coeffs)) for f in (f1, f2, f3, f4)])
@@ -201,6 +202,19 @@ class TestA3RowSums:
             want = _paired(pseudoproduct_restricted(eta, 3, M, f1, f2, f3), f4)
             assert abs(val - want) <= 1e-15 * scale, eta.name
             assert _a3_row_sums(M, f1, f2, [(eta, f3, f4)]) == [val]
+
+    def test_windows_are_the_off_a3_columns(self):
+        # column a of row k leaves A3 exactly in the union of the two clipped
+        # windows; covers the ties |k - a| = |s| and windows beyond +-K
+        for K in (2, 5, 33):
+            ks = np.arange(-K, K + 1)
+            k, a = ks[:, None], ks[None, :]
+            for M in (1, 2, 4, 8, 16):
+                for s in _support_sums(M):
+                    lo1, hi1, lo2, hi2 = (b[:, None] for b in _off_a3_windows(K, s, ks))
+                    union = ((lo1 <= a) & (a < hi1)) | ((lo2 <= a) & (a < hi2))
+                    off = ~a_cell(3, np.abs(k - a), np.abs(a + k - s), abs(s))
+                    assert np.array_equal(union, off), (K, M, s)
 
     @pytest.mark.parametrize("M,N", [(1, 16), (2, 32), (4, 64), (1, 1024)])
     def test_ibp_symbols_depend_on_pair_sum_and_k3(self, M, N):
@@ -308,19 +322,6 @@ class TestVerifyIBP:
             f1, f2, g = (random_real_field(128, rng) for _ in range(3))
         assert abs(t_functional(1, 64, f1, f2, g)) < 0.2
         assert verify_ibp(1, 64, f1, f2, g) <= 1e-12
-
-    def test_one_a_mask_per_pair_sum(self, monkeypatch):
-        # T and both pieces share the mask of each pair sum s
-        built = []
-
-        def counting(j, *m):
-            built.append(j)
-            return a_cell(j, *m)
-
-        monkeypatch.setattr(pseudo, "a_cell", counting)
-        f1, f2, g = (_random_real(64, seed=400 + s) for s in (0, 1, 2))
-        assert verify_ibp(4, 64, f1, f2, g) <= 1e-12
-        assert built == [3] * len(_support_sums(4))
 
     def test_wrong_boundary_symbol_is_caught(self, monkeypatch):
         def off_by_one_percent(M, N):
