@@ -25,7 +25,8 @@ L2 drift is a direct measure of time-stepping error.
 
 Inside a run a real field is its modes k = 0..K, a (..., K+1) row; the
 centered 2K+1 coefficients of a FourierField appear only where the run starts
-and samples. Every P0(u^2) here is _mass_half of the modes k >= 0.
+and samples. The renormalized cubic takes P0(u^2) as the grid mean of the u^2
+it forms (_Cube); every other P0(u^2) here is _mass_half of the modes k >= 0.
 """
 from __future__ import annotations
 
@@ -124,53 +125,49 @@ def _kernel_plan(max_mode: int):
     return n, deriv_multiplier(np.arange(max_mode + 1))
 
 
-@lru_cache(maxsize=32)
-def _transport_plan(max_mode: int, sign: int):
-    """The grid length and -sign d/dx, the factor every transport ends on."""
-    n, d = _kernel_plan(max_mode)
-    return n, -sign * d
-
-
 # The IFRK4 kernel below acts on the last axis of (..., K+1) rows, so one
 # irfft/rfft pair per stage steps a stack of independent fields, each row bit
 # for bit as if it were stepped alone.
 
-class _CubeBuffers(threading.local):
-    """The padded spectrum, grid and spectrum arrays of _cube_half, one set
-    per (stack shape, grid length) and per thread, so that the kernel stays
-    reentrant across threads. Reusing them keeps a K = 2048 stage from
-    handing its ~70 KB temporaries back to the OS and faulting them in again
-    at the next stage."""
+class _Cube:
+    """The exact Galerkin cubic of the (..., K+1) stacks of one shape on
+    n >= 4K+1 grid points (u^3 has modes up to 3K, and 4K+1 >= 3K + K + 1
+    leaves no wraparound in the retained band). A call cubes the fields whose
+    modes 0..K are in the view src of the padded half-spectrum and leaves
+    the cube's modes 0..K in the view out, valid until the next call."""
 
-    def __init__(self):
-        self.by_key = {}
+    def __init__(self, shape: tuple, n: int):
+        half, grid = shape[:-1] + (n // 2 + 1,), shape[:-1] + (n,)
+        self.n, self.pad, self.spec = n, np.zeros(half, complex), np.empty(half, complex)
+        self.vals, self.sq = np.empty(grid), np.empty(grid)
+        self.src, self.out = self.pad[..., :shape[-1]], self.spec[..., :shape[-1]]
 
-    def get(self, shape: tuple, n: int):
-        arrays = self.by_key.get((shape, n))
-        if arrays is None:
-            if len(self.by_key) >= 8:   # a scan uses one or two shapes at a time
-                self.by_key.clear()
-            half = shape[:-1] + (n // 2 + 1,)
-            arrays = (np.zeros(half, complex), np.empty(shape[:-1] + (n,)),
-                      np.empty(half, complex))
-            self.by_key[(shape, n)] = arrays
-        return arrays
+    def __call__(self, renormalized: bool) -> np.ndarray:
+        """u^3, or u (u^2 - 3 P0(u^2)) with P0(u^2) the grid mean of u^2
+        (exact by Parseval, n > 2K), reduced along each row."""
+        v, sq = _fft.irfft(self.pad, self.n, norm="forward", out=self.vals), self.sq
+        np.multiply(v, v, out=sq)
+        if renormalized:
+            sq -= (3.0 / self.n) * np.add.reduce(sq, axis=-1, keepdims=True)
+        v *= sq
+        _fft.rfft(v, norm="forward", out=self.spec)
+        return self.out
 
 
-_CUBE_BUFFERS = _CubeBuffers()
+@lru_cache(maxsize=8)   # a scan uses one or two shapes at a time
+def _cube_work(shape: tuple, n: int, thread: int) -> _Cube:
+    """The _Cube of (shape, n) of the thread threading.get_ident(), kept so
+    that the kernel stays reentrant and a one-row K = 2048 stage does not
+    fault in its ~280 KB of work arrays afresh."""
+    return _Cube(shape, n)
 
 
-def _cube_half(h: np.ndarray, n: int) -> np.ndarray:
-    """Modes 0..K of u^3, u real with modes 0..K = h, on n >= 4K+1 grid
-    points, where the pointwise cube is the exact Galerkin truncation (u^3
-    has modes up to 3K, and 4K+1 >= 3K + K + 1 leaves no wraparound in the
-    retained band). The result is a new array."""
-    m = h.shape[-1]
-    pad, vals, spec = _CUBE_BUFFERS.get(h.shape, n)
-    pad[..., :m] = h             # the modes above m stay zero
-    _fft.irfft(pad, n, norm="forward", out=vals)
-    vals *= vals * vals
-    return _fft.rfft(vals, norm="forward", out=spec)[..., :m].copy()
+def _cube_half(h: np.ndarray, n: int, renormalized: bool = False) -> np.ndarray:
+    """Modes 0..K of u^3 [- 3 P0(u^2) u], u real with modes 0..K = h, on
+    n >= 4K+1 grid points (see _Cube). The result is a new array."""
+    cube = _cube_work(h.shape, n, threading.get_ident())
+    cube.src[...] = h
+    return cube(renormalized).copy()
 
 
 def _mirror(h: np.ndarray) -> np.ndarray:
@@ -189,15 +186,6 @@ def _mass_half(h: np.ndarray):
     """P0(u^2) = 2 sum_{k>=0} |h_k|^2 - |h_0|^2 of each row h of modes 0..K,
     summed along the last axis: a row rounds the same in any stack."""
     return 2.0 * np.vecdot(h, h).real - np.abs(h[..., 0]) ** 2
-
-
-def _transport(h: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Modes 0..K of -sign d/dx(u^3 [- 3 P0(u^2) u]), u real with modes h."""
-    n, sd = _transport_plan(cfg.max_mode, cfg.sign)
-    cub = _cube_half(h, n)
-    if cfg.renormalized:
-        cub -= 3.0 * _mass_half(h)[..., None] * h
-    return sd * cub
 
 
 def cubic_coefficients(u: FourierField) -> FourierField:
@@ -227,29 +215,38 @@ def rhs_split(u: FourierField) -> tuple[FourierField, FourierField]:
 def rhs(u: FourierField, config: ModelConfig) -> FourierField:
     """Full tendency u_t = -u_xxx - sign * d/dx(u^3 [- 3 P0(u^2) u]) of a real u."""
     u.require_real()
-    d = _kernel_plan(config.max_mode)[1]
+    n, d = _kernel_plan(config.max_mode)
     h = u.coeffs[u.max_mode:]
-    return FourierField(_mirror(-(d ** 3) * h + _transport(h, config)), copy=False)
+    cub = _cube_half(h, n, config.renormalized)
+    return FourierField(_mirror(-(d ** 3) * h + (-config.sign * d) * cub), copy=False)
 
 
 @lru_cache(maxsize=32)
-def _step_plan(max_mode: int, dt: float):
+def _step_plan(max_mode: int, dt: float, sign: int):
     # |E| = 1: the dispersion symbol -(2 pi i k)^3 = 8i pi^3 k^3 is a phase.
-    # dt E and 2 E are the products the stages form, cached in that operand
-    # order (complex multiplies here do not commute bit for bit)
-    E = np.exp(0.5 * dt * -(deriv_multiplier(np.arange(max_mode + 1)) ** 3))
-    return E, E * E, dt * E, 2.0 * E
+    # With c1..c4 the stage cubes and sd = -sign d/dx, the stage inputs are
+    # h, E h + (dt/2) E sd c1, E h + (dt/2) sd c2 and E^2 h + dt E sd c3, and
+    # the step is E^2 h + (dt/6) sd (E^2 c1 + 2 E (c2 + c3) + c4)
+    d = deriv_multiplier(np.arange(max_mode + 1))
+    E, sd = np.exp(0.5 * dt * -(d ** 3)), -sign * d
+    return (E, E * E, 0.5 * dt * E * sd, 0.5 * dt * sd, dt * E * sd,
+            (dt / 6.0) * E * E * sd, (dt / 3.0) * E * sd, (dt / 6.0) * sd)
 
 
 def _ifrk4_coeffs(h: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    E, E2, dtE, twoE = _step_plan(cfg.max_mode, cfg.dt)
-    dt = cfg.dt
-    e2h = E2 * h
-    k1 = _transport(h, cfg)
-    k2 = _transport(E * (h + 0.5 * dt * k1), cfg)
-    k3 = _transport(E * h + 0.5 * dt * k2, cfg)
-    k4 = _transport(e2h + dtE * k3, cfg)
-    return _pin_mean(e2h + (dt / 6.0) * (E2 * k1 + twoE * (k2 + k3) + k4), h)
+    E, E2, w2, w3, w4, a1, a23, a4 = _step_plan(cfg.max_mode, cfg.dt, cfg.sign)
+    cube = _cube_work(h.shape, _kernel_plan(cfg.max_mode)[0], threading.get_ident())
+    eh, e2h = E * h, E2 * h
+    cube.src[...] = h
+    c = cube(cfg.renormalized)
+    acc = a1 * c
+    for base, w_in, w_acc in ((eh, w2, a23), (eh, w3, a23), (e2h, w4, a4)):
+        np.multiply(w_in, c, out=cube.src)   # consumes c before the next call
+        cube.src += base
+        c = cube(cfg.renormalized)
+        acc += w_acc * c
+    acc += e2h
+    return _pin_mean(acc, h)
 
 
 # ---------------------------------------------------------- exact phase

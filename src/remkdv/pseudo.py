@@ -116,8 +116,9 @@ def _off_a3_windows(K: int, s, k):
     [lo1, hi1) and [lo2, hi2), clipped to [-K, K + 1): with k1 = a, k2 = s - a
     and k3 = k - s, A3 needs |s| < |k - a| and |s| < |a + k - s| (a tie goes
     to the lower slot). s and k broadcast."""
-    r = np.abs(s)
-    return tuple(np.clip(b, -K, K + 1) for b in (k - r, k + r + 1, s - k - r, s - k + r + 1))
+    r = np.abs(s)   # np.minimum(np.maximum(...)) clips without np.clip's Python wrapper
+    return tuple(np.minimum(np.maximum(b, -K), K + 1)
+                 for b in (k - r, k + r + 1, s - k - r, s - k + r + 1))
 
 
 def _a3_row_sums(M: int, f1: FourierField, f2: FourierField,

@@ -355,13 +355,13 @@ class TestSmoothingScan:
         assert rep.watch_modes == [8, -8, 0, 40, 8, 31]
         assert rep.sup_deviation == {
             0.05: {8: 6.591085008577294e-10, -8: 6.591085008577294e-10, 0: 0.0,
-                   40: 0.0, 31: 2.2058783854881445e-11},
-            0.1: {8: 1.0548962960061122e-08, -8: 1.0548962960061122e-08, 0: 0.0,
+                   40: 0.0, 31: 2.2058783854877723e-11},
+            0.1: {8: 1.0548962960060274e-08, -8: 1.0548962960060274e-08, 0: 0.0,
                   40: 0.0, 31: 3.54971867520141e-10},
         }
-        assert rep.ratios == {8: {0.05: 16.00489592583505},
-                              -8: {0.05: 16.00489592583505}, 0: {}, 40: {},
-                              31: {0.05: 16.09208693713132}}
+        assert rep.ratios == {8: {0.05: 16.004895925833768},
+                              -8: {0.05: 16.004895925833768}, 0: {}, 40: {},
+                              31: {0.05: 16.092086937134038}}
         empty = smoothing_scan(BASE, SMALL, [], [8])
         assert empty.sup_deviation == {} and empty.ratios == {8: {}}
 

@@ -136,6 +136,19 @@ class TestCubic:
         got = _cube_half(u.coeffs[K:], n)
         assert np.max(np.abs(got - want[K:])) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("K", [1, 16, 256, 2048])
+    def test_grid_renormalization_is_the_spectral_one(self, K):
+        # u (u^2 - 3 P0(u^2)) with P0 the grid mean of u^2 is the cube minus
+        # 3 P0 u with P0 from the modes, on the kernel's grid and on odd
+        # 4K+1; each row of a stack is its one-row call bit for bit
+        stack = np.array([_random_real(K, seed=s, scale=1.0).coeffs[K:] for s in (1, 2, 3)])
+        for n in (_kernel_plan(K)[0], 4 * K + 1):
+            got = _cube_half(stack, n, renormalized=True)
+            want = _cube_half(stack, n) - 3.0 * _mass_half(stack)[:, None] * stack
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
+            for row, g in zip(stack, got):
+                assert np.array_equal(_cube_half(row, n, renormalized=True), g)
+
     @pytest.mark.parametrize("K", [4, 6, 256, 2048])
     def test_direct_pocketfft_equals_public_scipy_fft(self, K, monkeypatch):
         # the cubic's c2r/r2c run on scipy's compiled pocketfft module,
