@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FourierField, dyadic_blocks, phi_dyadic, sobolev_norm
-from .resonance import D1_BRANCHES, d1_cells, d1_omega3, d1_small_sums
+from .resonance import (D1_BRANCHES, MED_RATIO, d1_cells, d1_k_runs, d1_omega3,
+                        d1_small_sums)
 
 __all__ = [
     "THETA1",
@@ -94,14 +95,25 @@ def _e32(u: FourierField, k: int) -> float:
     return abs(k) * k * float(np.real(cells * u.mode(-k))) / FOUR_PI_SQ
 
 
+def _e5_inner_bound(kmax: int) -> int:
+    """Upper bound on |Omega3| = 3|a||b||2k_i - a - b| over the D1 cells of
+    every mode |k_i| <= kmax: |a|, |b| <= t = floor(kmax/512)."""
+    t = int(MED_RATIO * kmax)
+    return 3 * t * t * (2 * kmax + 2 * t)
+
+
 def _e5(u: FourierField, k: int, outer, om_out) -> float:
     quad = np.column_stack([*outer, np.full(om_out.size, -k, dtype=np.int64)]).ravel()
+    kmax = int(np.abs(quad).max())
+    if np.abs(om_out).min() > LL_RATIO * _e5_inner_bound(kmax):
+        # no pair passes the cut: the grid path's sum, a signed zero
+        return 9 * abs(k) * k * 0.0 / FOUR_PI_SQ ** 2
     coeffs = u.gather(quad).reshape(-1, 4)
     # others[r, i]: product of the coefficients of cell r other than slot i
     others = np.prod(np.where(np.eye(4, dtype=bool), 1, coeffs[:, None, :]), axis=2).ravel()
     # the inner cells of every (cell, slot) mode in one grid, axis 0 the mode;
     # the small sums of the largest mode cover those of every mode
-    vals = d1_small_sums(np.abs(quad).max())
+    vals = d1_small_sums(kmax)
     ki, a, b = quad[:, None, None], vals[:, None], vals[None, :]
     inner, ok = d1_cells(ki, a, b, u.max_mode)
     om_in = d1_omega3(ki, a, b)
@@ -155,9 +167,12 @@ def diff_energy_dyadic(u: FourierField, v: FourierField, N: int, n0: int) -> flo
       Re sum_k phi_N(k)^2 k/(2pi)^2 w^(-k) sum_{D^1(k)} (u1 u2 + u1 v2 + v1 v2) w^(k3) / Omega3
 
     over the phi_N-active modes k. The cells are walked one pair of small
-    pair sums (a, b) at a time, for all output modes at once (d1_cells): the
-    three branches permute one cell's entries k - a, k - b, a + b - k and
-    share Omega3 (d1_omega3), so each pair is one masked pass."""
+    pair sums (a, b) at a time, over the pair's live output modes only: one
+    run of k per sign (resonance.d1_k_runs, cut to the block), on which the
+    entries k - a, k - b and a + b - k are ascending slices of the
+    coefficients and of the reversed coefficients. The three branches
+    permute these entries and share Omega3 (d1_omega3), so a pair is one
+    pass over nine slices, with no mask and no copy."""
     if u.max_mode != v.max_mode:
         raise ValueError("fields must share max_mode")
     if N < 1 or (N & (N - 1)):
@@ -166,21 +181,32 @@ def diff_energy_dyadic(u: FourierField, v: FourierField, N: int, n0: int) -> flo
     ks = w.modes
     ph2 = phi_dyadic(N, ks) ** 2
     base = 0.5 * float(np.sum(ph2 * np.abs(w.coeffs) ** 2))
-    if N <= n0:
+    live = ks[ph2 != 0.0]
+    if N <= n0 or live.size == 0:
         return base
     K = u.max_mode
-    k = ks[ph2 != 0.0]
-    weight = ph2[k + K] * k * w.gather(-k) / FOUR_PI_SQ
+    # phi_N is even and nonzero exactly on N/2 < |k| < 2N: one band per sign
+    top, bottom = int(live[-1]), int(live[live > 0][0])
+    bands = ((-top, 1 - bottom), (bottom, top + 1))
+    # c[K + k] is the coefficient at k and r[K + k] the one at -k
+    fields = [(f.coeffs, f.coeffs[::-1]) for f in (u, v, w)]
+    weight = ph2 * ks * fields[2][1] / FOUR_PI_SQ
     vals = d1_small_sums(K)
     corr = 0.0
     for a in vals:
         for b in vals:
-            cells, ok = d1_cells(k, a, b, K)
-            cells = cells[:, ok]
-            U, V, W = u.gather(cells), v.gather(cells), w.gather(cells)
-            prod = sum((U[i] * U[j] + U[i] * V[j] + V[i] * V[j]) * W[l]
-                       for i, j, l in D1_BRANCHES)
-            corr += float(np.real(np.sum(weight[ok] * prod / d1_omega3(k[ok], a, b))))
+            terms = []
+            for (lo, hi), (blo, bhi) in zip(d1_k_runs(a, b, K), bands):
+                lo, hi = max(lo, blo), min(hi, bhi)
+                if lo < hi:
+                    i, j = lo + K, hi + K
+                    U, V, W = ((c[i - a:j - a], c[i - b:j - b], r[i - a - b:j - a - b])
+                               for c, r in fields)
+                    prod = sum((U[x] * U[y] + U[x] * V[y] + V[x] * V[y]) * W[z]
+                               for x, y, z in D1_BRANCHES)
+                    terms.append(weight[i:j] * prod / d1_omega3(np.arange(lo, hi), a, b))
+            if terms:
+                corr += float(np.real(np.sum(np.concatenate(terms))))
     return base + corr
 
 

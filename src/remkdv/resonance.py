@@ -4,7 +4,8 @@ Everything here is arithmetic on lattice triples (k1, k2, k3): the cubic
 resonance functions, the pair-sum magnitudes m1, m2, m3, the A1/A2/A3
 classification, the D / D1 / D2 split of nonresonant triples and the D1
 parametrization: d1_cells gives the D1 cells on a grid of output modes k and
-small pair sums (a, b), and d1_omega3 their exact Omega3. The energy
+small pair sums (a, b), d1_k_runs the output modes of one (a, b) that have
+a cell, and d1_omega3 their exact Omega3. The energy
 functionals sum those grids; d1_triples lists the same cells as (n, 3) rows,
 one per slot order. Energy sums the median-cut D2 cells as a convolution, with no
 cell list. Other modules take cells, pair sums, the A-cell tie-break and
@@ -13,7 +14,7 @@ Omega3 from here.
 The scalar functions work in Python integers, which are exact at any size.
 The array paths (classify_array, d1_cells and d1_triples) work in int64 and
 raise ValueError for |k_i|, |k| or bound >= INT64_BOUND = 2^21, so that the
-cube of every entry fits in 63 bits.
+cube of every entry fits in 63 bits; d1_k_runs refuses the same bounds.
 omega3_factored on numpy integers raises ValueError wherever its product of
 three pair sums could leave int64 (possible from |k_i| ~ 2^19.5 on).
 """
@@ -40,6 +41,7 @@ __all__ = [
     "d1_small_sums",
     "D1_BRANCHES",
     "d1_cells",
+    "d1_k_runs",
     "d1_omega3",
     "d1_triples",
 ]
@@ -226,6 +228,22 @@ def d1_cells(k, a, b, bound: int) -> tuple[np.ndarray, np.ndarray]:
     # |a| <= floor(|k|/512) is |a| <= |k|/512 for an integer a
     small = (a != 0) & (b != 0) & (np.maximum(np.abs(a), np.abs(b)) <= MED_RATIO * np.abs(k))
     return cells, small & (np.abs(cells).max(axis=0) <= bound)
+
+
+def d1_k_runs(a: int, b: int, bound: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The output modes k at which d1_cells(k, a, b, bound) has a cell, as
+    one half-open run (lo, hi) of k < 0 and one of k > 0 (empty when
+    hi <= lo): |k| >= max(|a|, |b|)/MED_RATIO and every entry within the
+    bound. Raises ValueError for a bound >= INT64_BOUND."""
+    _check_int64_range(bound)
+    a, b = int(a), int(b)
+    if a == 0 or b == 0:
+        return (0, 0), (0, 0)
+    cut = math.ceil(max(abs(a), abs(b)) / MED_RATIO)
+    # |k - a|, |k - b|, |a + b - k| <= bound
+    lo = max(a, b, a + b) - bound
+    hi = min(a, b, a + b) + bound + 1
+    return (lo, min(hi, 1 - cut)), (max(lo, cut), hi)
 
 
 def d1_omega3(k, a, b):

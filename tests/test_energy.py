@@ -160,6 +160,37 @@ class TestEnergyMode:
         assert energy_mode(_random_real(K_BIG, seed=6), K_MODE).e5 == 0.0
 
 
+    @pytest.mark.parametrize("K,k", [(2048, 1024), (2048, -2048), (1024, 513),
+                                     (4096, 3001), (8192, -8000)])
+    def test_e5_inner_bound_holds_on_the_grid(self, K, k):
+        # _e5 skips its inner grid when min |Omega_out| exceeds LL_RATIO times
+        # this bound; it must cover every |Omega_in| the grid would build
+        vals = d1_small_sums(k)
+        a, b = np.meshgrid(vals, vals, indexing="ij")
+        cells, ok = d1_cells(k, a, b, K)
+        quad = np.concatenate([cells[:, ok].ravel(), [-k]])
+        kmax = int(np.abs(quad).max())
+        inner = d1_small_sums(kmax)
+        om_in = d1_omega3(quad[:, None, None], inner[:, None], inner[None, :])
+        bound = energy._e5_inner_bound(kmax)
+        assert np.abs(om_in).max() <= bound < 1.1 * np.abs(om_in).max()
+
+    @pytest.mark.parametrize("k", [K_MODE, -K_MODE, 2048, -513])
+    def test_e5_skip_gives_the_grid_zero(self, monkeypatch, k):
+        # the skipped e5 is the same signed zero the grid path sums (-0.0
+        # for k < 0), so the reports stay bit-identical
+        u = _random_real(K_BIG, seed=10)
+        grids = []
+        monkeypatch.setattr(energy, "d1_cells",
+                            lambda *args: grids.append(1) or d1_cells(*args))
+        fast = energy_mode(u, k).e5
+        assert len(grids) == 1  # the outer cells only: the inner grid is skipped
+        monkeypatch.setattr(energy, "_e5_inner_bound", lambda kmax: 2 ** 62)
+        grid = energy_mode(u, k).e5
+        assert len(grids) == 3
+        assert fast == grid == 0.0
+        assert np.copysign(1.0, fast) == np.copysign(1.0, grid) == np.sign(k)
+
 class TestCorrectionOracles:
     def test_e31_matches_direct_scan(self, cells):
         u = _random_real(K_BIG, seed=7)
@@ -271,6 +302,33 @@ class TestDiffEnergy:
         with pytest.raises(ValueError):
             diff_energy_dyadic(u, _random_real(16), 4, 512)
 
+    @staticmethod
+    def _plain_correction(u, v, N):
+        """The polarized cubic correction of block N by a plain loop over the
+        phi_N-active modes and the rows of d1_triples."""
+        K = u.max_mode
+        w = u - v
+        corr = 0.0
+        for a in range(N // 2 + 1, 2 * N):
+            for k in (a, -a):
+                ph = float(phi_dyadic(N, np.array([k]))[0])
+                if ph == 0.0 or a > K:
+                    continue
+                s = 0.0 + 0.0j
+                for row in d1_triples(k, K):
+                    k1, k2, k3 = (int(x) for x in row)
+                    om = omega3(k1, k2, k3)
+                    pair = (_mode(u, k1) * _mode(u, k2) + _mode(u, k1) * _mode(v, k2)
+                            + _mode(v, k1) * _mode(v, k2))
+                    s += pair * _mode(w, k3) / om
+                corr += ph * ph * float((k * s * _mode(w, -k)).real) / FOUR_PI_SQ
+        return corr
+
+    @staticmethod
+    def _base(u, v, N):
+        w = u - v
+        return 0.5 * float(np.sum(phi_dyadic(N, w.modes) ** 2 * np.abs(w.coeffs) ** 2))
+
     @pytest.mark.parametrize("N", [1024, 2048])
     def test_live_block_correction(self, N):
         # above the floor the block carries the polarized cubic correction;
@@ -278,32 +336,37 @@ class TestDiffEnergy:
         # 1024 reaches floor(|k|/512) = 3, block 2048 reaches 4.
         u = _random_real(K_BIG, seed=23, scale=2e-3)
         v = _random_real(K_BIG, seed=24, scale=2e-3)
-        w = u - v
-        n0 = 512
-        got = diff_energy_dyadic(u, v, N, n0)
-        base = 0.5 * float(np.sum(phi_dyadic(N, w.modes) ** 2
-                                  * np.abs(w.coeffs) ** 2))
-        corr = 0.0
-        for a in range(N // 2 + 1, 2 * N):
-            for k in (a, -a):
-                ph = float(phi_dyadic(N, np.array([k]))[0])
-                if ph == 0.0 or a > K_BIG:
-                    continue
-                tri = d1_triples(k, K_BIG)
-                if tri.shape[0] == 0:
-                    continue
-                s = 0.0 + 0.0j
-                for row in tri:
-                    k1, k2, k3 = (int(x) for x in row)
-                    om = omega3(k1, k2, k3)
-                    pair = (_mode(u, k1) * _mode(u, k2) + _mode(u, k1) * _mode(v, k2)
-                            + _mode(v, k1) * _mode(v, k2))
-                    s += pair * _mode(w, k3) / om
-                corr += ph * ph * float((k * s * _mode(w, -k)).real) / FOUR_PI_SQ
+        got = diff_energy_dyadic(u, v, N, 512)
+        base = self._base(u, v, N)
         assert got - base != 0.0
         # got - base keeps the rounding of base (one ulp); approx's default
         # abs of 1e-12 would pass any error in this ~1e-11 correction
-        assert got - base == pytest.approx(corr, rel=1e-10, abs=np.spacing(base))
+        assert got - base == pytest.approx(self._plain_correction(u, v, N),
+                                           rel=1e-10, abs=np.spacing(base))
+
+    def test_complex_pair_matches_plain_loop(self):
+        # no Hermitian symmetry: the slices of u, v, w at k - a, k - b and
+        # a + b - k must not assume u^(-k) = conj(u^(k))
+        K = N = 1024
+        rng = np.random.default_rng(27)
+        u, v = (FourierField(2e-3 * (rng.standard_normal(2 * K + 1)
+                                     + 1j * rng.standard_normal(2 * K + 1)))
+                for _ in range(2))
+        assert not u.is_real() and not v.is_real()
+        got = diff_energy_dyadic(u, v, N, 512)
+        base = self._base(u, v, N)
+        assert got - base != 0.0
+        assert got - base == pytest.approx(self._plain_correction(u, v, N),
+                                           rel=1e-10, abs=np.spacing(base))
+
+    def test_block_beyond_the_truncation_is_base(self, monkeypatch):
+        # phi_4096 lives on 2048 < |k| < 8192, past K = 2048: no active mode,
+        # so the corrected block is its plain quadratic part, exactly, and
+        # walks no pair of small sums
+        u = _random_real(K_BIG, seed=28, scale=2e-3)
+        v = _random_real(K_BIG, seed=29, scale=2e-3)
+        monkeypatch.setattr(energy, "d1_k_runs", None)
+        assert diff_energy_dyadic(u, v, 4096, 512) == self._base(u, v, 4096)
 
     def test_total_is_weighted_ladder(self):
         u = _random_real(128, seed=25)

@@ -11,6 +11,7 @@ from remkdv.resonance import (
     classify,
     classify_array,
     d1_cells,
+    d1_k_runs,
     d1_omega3,
     d1_small_sums,
     d1_triples,
@@ -204,6 +205,7 @@ class TestInt64Guard:
         lambda B: d1_cells(B, 1, 1, 16),
         lambda B: d1_cells(np.array([600, -B]), 1, 1, 16),
         lambda B: d1_cells(600, 1, 1, B),
+        lambda B: d1_k_runs(1, 1, B),
     ])
     def test_rejects_the_int64_bound(self, call):
         with pytest.raises(ValueError, match="below"):
@@ -324,6 +326,24 @@ class TestCells:
                 tri = cells[list(order)][:, ok].tolist()
                 assert [omega3(*t) for t in zip(*tri)] == want
 
+
+    @pytest.mark.parametrize("bound", [600, 1024, 2048, 2051])
+    def test_k_runs_are_the_mask(self, bound):
+        # past +-bound on both sides, so the runs' ends come from the mask
+        ks = np.arange(-bound - 40, bound + 41)
+        empty = 0
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                runs = d1_k_runs(a, b, bound)
+                got = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
+                want = ks[np.flatnonzero(d1_cells(ks, a, b, bound)[1])]
+                assert np.array_equal(got, want), (a, b)
+                (nlo, nhi), (plo, phi) = runs
+                assert nhi <= 0 <= plo
+                if a * b != 0:
+                    empty += (nhi <= nlo) + (phi <= plo)
+        # 512 max(|a|, |b|) beyond bound + 6 leaves both runs empty
+        assert empty > 0
 
 class TestD2Enumeration:
     def test_pair_median_bounds_components(self):
