@@ -172,7 +172,7 @@ def diff_energy_dyadic(u: FourierField, v: FourierField, N: int, n0: int) -> flo
     entries k - a, k - b and a + b - k are ascending slices of the
     coefficients and of the reversed coefficients. The three branches
     permute these entries and share Omega3 (d1_omega3), so a pair is one
-    pass over nine slices, with no mask and no copy."""
+    pass over nine slices, with no mask and no gather."""
     if u.max_mode != v.max_mode:
         raise ValueError("fields must share max_mode")
     if N < 1 or (N & (N - 1)):
@@ -188,8 +188,7 @@ def diff_energy_dyadic(u: FourierField, v: FourierField, N: int, n0: int) -> flo
     # phi_N is even and nonzero exactly on N/2 < |k| < 2N: one band per sign
     top, bottom = int(live[-1]), int(live[live > 0][0])
     bands = ((-top, 1 - bottom), (bottom, top + 1))
-    # c[K + k] is the coefficient at k and r[K + k] the one at -k
-    fields = [(f.coeffs, f.coeffs[::-1]) for f in (u, v, w)]
+    fields = [(f.coeffs, f.coeffs[::-1]) for f in (u, v, w)]   # modes k and -k at K + k
     weight = ph2 * ks * fields[2][1] / FOUR_PI_SQ
     vals = d1_small_sums(K)
     corr = 0.0
@@ -205,7 +204,7 @@ def diff_energy_dyadic(u: FourierField, v: FourierField, N: int, n0: int) -> flo
                     prod = sum((U[x] * U[y] + U[x] * V[y] + V[x] * V[y]) * W[z]
                                for x, y, z in D1_BRANCHES)
                     terms.append(weight[i:j] * prod / d1_omega3(np.arange(lo, hi), a, b))
-            if terms:
+            if terms:   # one sum over both runs, in ascending k
                 corr += float(np.real(np.sum(np.concatenate(terms))))
     return base + corr
 

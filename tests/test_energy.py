@@ -159,7 +159,6 @@ class TestEnergyMode:
         assert ratio.max() < 1 / LL_RATIO
         assert energy_mode(_random_real(K_BIG, seed=6), K_MODE).e5 == 0.0
 
-
     @pytest.mark.parametrize("K,k", [(2048, 1024), (2048, -2048), (1024, 513),
                                      (4096, 3001), (8192, -8000)])
     def test_e5_inner_bound_holds_on_the_grid(self, K, k):
@@ -190,6 +189,7 @@ class TestEnergyMode:
         assert len(grids) == 3
         assert fast == grid == 0.0
         assert np.copysign(1.0, fast) == np.copysign(1.0, grid) == np.sign(k)
+
 
 class TestCorrectionOracles:
     def test_e31_matches_direct_scan(self, cells):

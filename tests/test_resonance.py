@@ -326,7 +326,6 @@ class TestCells:
                 tri = cells[list(order)][:, ok].tolist()
                 assert [omega3(*t) for t in zip(*tri)] == want
 
-
     @pytest.mark.parametrize("bound", [600, 1024, 2048, 2051])
     def test_k_runs_are_the_mask(self, bound):
         # past +-bound on both sides, so the runs' ends come from the mask
@@ -338,12 +337,13 @@ class TestCells:
                 got = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
                 want = ks[np.flatnonzero(d1_cells(ks, a, b, bound)[1])]
                 assert np.array_equal(got, want), (a, b)
-                (nlo, nhi), (plo, phi) = runs
-                assert nhi <= 0 <= plo
+                (n_lo, n_hi), (p_lo, p_hi) = runs
+                assert n_hi <= 0 <= p_lo
                 if a * b != 0:
-                    empty += (nhi <= nlo) + (phi <= plo)
+                    empty += (n_hi <= n_lo) + (p_hi <= p_lo)
         # 512 max(|a|, |b|) beyond bound + 6 leaves both runs empty
         assert empty > 0
+
 
 class TestD2Enumeration:
     def test_pair_median_bounds_components(self):
